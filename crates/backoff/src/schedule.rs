@@ -176,6 +176,25 @@ pub(crate) fn walk_next_send(
     None
 }
 
+/// Index of the first entry below `limit` in the non-increasing `prefix`
+/// (its length when there is none) — exactly
+/// `prefix.partition_point(|&v| v >= limit)`, found by galloping from
+/// the front (probing indices 0, 1, 3, 7, …) before bisecting the last
+/// gap. Inversion draws mostly land a few indices past `start`, so this
+/// costs O(log k) cache-friendly probes for an answer at offset `k`,
+/// where bisecting the whole table costs O(log table) scattered ones.
+fn first_below(prefix: &[f64], limit: f64) -> usize {
+    let mut lo = 0;
+    let mut bound = 1;
+    // Invariant: every entry before `lo` is `>= limit`.
+    while bound <= prefix.len() && prefix[bound - 1] >= limit {
+        lo = bound;
+        bound *= 2;
+    }
+    let hi = bound.min(prefix.len());
+    lo + prefix[lo..hi].partition_point(|&v| v >= limit)
+}
+
 /// Interned, lazily grown **log-survival prefix sums** of a schedule:
 /// `prefix[k] = Σ_{i=1..k} ln(1 − p_i)` over the non-certain entries
 /// (certain sends `p_i ≥ 1` contribute 0 and are tracked as *barriers*;
@@ -184,10 +203,11 @@ pub(crate) fn walk_next_send(
 /// This is the engine of skip-ahead sampling: the next-send index of a
 /// node following the schedule from position `start` is
 /// `min { k : exp(prefix[k] − prefix[start−1]) < u }` for one uniform
-/// draw `u` — found by binary search in O(log table) instead of one
-/// Bernoulli draw per slot. Tables are interned per schedule (shared
-/// process-wide) and grow on demand up to 2²⁴ entries
-/// (`SURVIVAL_TABLE_MAX`); deeper lookups fall back to the exact walk.
+/// draw `u` — found by a galloping search from `start` in O(log (k −
+/// start)) instead of one Bernoulli draw per slot. Tables are interned
+/// per schedule (shared process-wide) and grow on demand up to 2²⁴
+/// entries (`SURVIVAL_TABLE_MAX`); deeper lookups fall back to the exact
+/// walk.
 #[derive(Clone)]
 pub struct SurvivalTable {
     inner: Arc<RwLock<SurvivalCore>>,
@@ -226,17 +246,10 @@ impl SurvivalTable {
             .covered()
     }
 
-    fn ensure(&self, upto: u64) {
+    /// Extend the prefix sums through index `upto` (capped at
+    /// `SURVIVAL_TABLE_MAX`); a no-op when another caller got there first.
+    fn grow(&self, upto: u64) {
         let upto = upto.min(SURVIVAL_TABLE_MAX);
-        if self
-            .inner
-            .read()
-            .expect("survival table poisoned")
-            .covered()
-            >= upto
-        {
-            return;
-        }
         let mut core = self.inner.write().expect("survival table poisoned");
         while core.covered() < upto {
             let i = core.covered() + 1;
@@ -260,8 +273,12 @@ impl SurvivalTable {
     /// test).
     pub fn next_send(&self, start: u64, last: u64, ln_u: f64) -> Option<u64> {
         debug_assert!(start >= 1 && start <= last);
-        self.ensure(last);
-        let core = self.inner.read().expect("survival table poisoned");
+        let mut core = self.inner.read().expect("survival table poisoned");
+        if core.covered() < last.min(SURVIVAL_TABLE_MAX) {
+            drop(core);
+            self.grow(last);
+            core = self.inner.read().expect("survival table poisoned");
+        }
         let covered = core.covered();
         let in_table_last = last.min(covered);
         if start > in_table_last {
@@ -279,7 +296,7 @@ impl SurvivalTable {
         let hi = barrier.map(|b| b - 1).unwrap_or(in_table_last);
         if start <= hi {
             let slice = &core.prefix[start as usize..=hi as usize];
-            let off = slice.partition_point(|&v| v >= limit);
+            let off = first_below(slice, limit);
             if off < slice.len() {
                 return Some(start + off as u64);
             }
@@ -625,21 +642,63 @@ mod tests {
         let us: [f64; 6] = [0.9371, 0.5003, 0.2442, 0.0613, 0.0071, 0.000913];
         for s in &schedules {
             let t = s.survival_table().expect("internable");
-            for &start in &[1u64, 2, 5, 17, 300] {
-                for &span in &[1u64, 3, 50, 2000] {
-                    let last = start + span - 1;
-                    for &u in &us {
-                        assert_eq!(
-                            t.next_send(start, last, u.ln()),
-                            reference_next_send(s, start, last, u),
-                            "{} start={start} last={last} u={u}",
-                            s.label()
-                        );
+            let check = |start: u64, last: u64| {
+                for &u in &us {
+                    assert_eq!(
+                        t.next_send(start, last, u.ln()),
+                        reference_next_send(s, start, last, u),
+                        "{} start={start} last={last} u={u}",
+                        s.label()
+                    );
+                }
+            };
+            // 3, 4 and 5 sit on and just past h_ctrl(2)'s last barrier;
+            // spans up to 2¹⁶ make the galloping search run many rounds
+            // before it bisects.
+            for &start in &[1u64, 2, 3, 4, 5, 17, 300, 40_000] {
+                for &span in &[1u64, 2, 3, 50, 2000, 1 << 16] {
+                    check(start, start + span - 1);
+                }
+            }
+            // Starts at the covered edge: searches ending exactly on it,
+            // and ones that grow the table past it first.
+            let edge = t.covered();
+            for start in edge - 2..=edge + 1 {
+                for last in [edge, edge + 1, edge + (1 << 16)] {
+                    if start <= last {
+                        check(start, last);
                     }
                 }
             }
             assert!(t.covered() >= 300, "{:?} grew on demand", t);
         }
+    }
+
+    #[test]
+    fn galloping_search_matches_partition_point() {
+        // Non-increasing sequences with plateaus (zero-probability and
+        // barrier entries add nothing to the prefix sums), every start
+        // offset, and limits on, between and beyond the entries.
+        let steps = [0.0, -0.5, 0.0, 0.0, -1e-9, -3.0, 0.0, -0.25];
+        let mut seq = vec![0.0f64];
+        for i in 0..300 {
+            let last = *seq.last().unwrap();
+            seq.push(last + steps[i % steps.len()] * (1.0 + (i % 7) as f64));
+        }
+        for start in 0..seq.len() {
+            let slice = &seq[start..];
+            let mut limits: Vec<f64> = slice.iter().step_by(3).copied().collect();
+            limits.extend(slice.iter().step_by(5).map(|v| v - 0.1));
+            limits.extend([f64::INFINITY, f64::NEG_INFINITY, 1.0, -1e6]);
+            for limit in limits {
+                assert_eq!(
+                    first_below(slice, limit),
+                    slice.partition_point(|&v| v >= limit),
+                    "start={start} limit={limit}"
+                );
+            }
+        }
+        assert_eq!(first_below(&[], -1.0), 0);
     }
 
     #[test]

@@ -38,13 +38,26 @@ impl LaneDraws for LaneDrawSource<'_> {
     }
 }
 
+/// Per-lane schedule state of one lane-engine protocol instance,
+/// allocated on the first [`Protocol::act_lanes`] call. Boxed because its
+/// 64 lane positions would otherwise make every scalar node — of which a
+/// sparse run holds millions, and every checkpoint a copy — carry 584
+/// bytes it never touches.
+type Lanes = Option<Box<LaneBatch>>;
+
+/// Advance `lanes` (materialized from `batch`'s schedule on first use)
+/// one slot over `active`.
+fn step_lanes(lanes: &mut Lanes, batch: &HBatch, rngs: &mut LaneRngs, active: u64) -> u64 {
+    lanes
+        .get_or_insert_with(|| Box::new(LaneBatch::new(batch.schedule().clone())))
+        .next_mask(active, &mut LaneDrawSource(rngs))
+}
+
 /// A protocol that follows a fixed probability schedule.
 #[derive(Debug, Clone)]
 pub struct ScheduleProtocol {
     batch: HBatch,
-    /// Per-lane schedule state, materialized on the first
-    /// [`Protocol::act_lanes`] call (scalar runs never allocate it).
-    lanes: Option<LaneBatch>,
+    lanes: Lanes,
     name: &'static str,
 }
 
@@ -129,11 +142,7 @@ impl Protocol for ScheduleProtocol {
     }
 
     fn act_lanes(&mut self, _local_slot: u64, rngs: &mut LaneRngs, active: u64) -> u64 {
-        let batch = &self.batch;
-        let lanes = self
-            .lanes
-            .get_or_insert_with(|| LaneBatch::new(batch.schedule().clone()));
-        lanes.next_mask(active, &mut LaneDrawSource(rngs))
+        step_lanes(&mut self.lanes, &self.batch, rngs, active)
     }
 }
 
@@ -143,11 +152,8 @@ impl Protocol for ScheduleProtocol {
 /// paper's phase structure).
 #[derive(Debug, Clone)]
 pub struct ResetOnSuccess {
-    schedule: Schedule,
     batch: HBatch,
-    /// Per-lane schedule state, materialized on the first
-    /// [`Protocol::act_lanes`] call (scalar runs never allocate it).
-    lanes: Option<LaneBatch>,
+    lanes: Lanes,
     name: &'static str,
     resets: u64,
 }
@@ -156,8 +162,7 @@ impl ResetOnSuccess {
     /// Protocol following `schedule`, restarting it on every success heard.
     pub fn new(name: &'static str, schedule: Schedule) -> Self {
         ResetOnSuccess {
-            batch: HBatch::new(schedule.clone()),
-            schedule,
+            batch: HBatch::new(schedule),
             lanes: None,
             name,
             resets: 0,
@@ -202,7 +207,7 @@ impl Protocol for ResetOnSuccess {
 
     fn observe(&mut self, _local_slot: u64, feedback: Feedback) {
         if feedback.is_success() {
-            self.batch = HBatch::new(self.schedule.clone());
+            self.batch = HBatch::new(self.batch.schedule().clone());
             self.resets += 1;
         }
     }
@@ -232,11 +237,7 @@ impl Protocol for ResetOnSuccess {
     }
 
     fn act_lanes(&mut self, _local_slot: u64, rngs: &mut LaneRngs, active: u64) -> u64 {
-        let schedule = &self.schedule;
-        let lanes = self
-            .lanes
-            .get_or_insert_with(|| LaneBatch::new(schedule.clone()));
-        lanes.next_mask(active, &mut LaneDrawSource(rngs))
+        step_lanes(&mut self.lanes, &self.batch, rngs, active)
     }
 
     fn observe_success_lanes(&mut self, lanes: u64) {
@@ -317,6 +318,24 @@ mod tests {
         p.observe(100, Feedback::Success(NodeId::new(9)));
         assert_eq!(p.resets(), 1);
         assert_eq!(p.act(101, &mut r), Action::Broadcast);
+    }
+
+    #[test]
+    fn scalar_nodes_stay_small() {
+        // A 10⁶-node sparse cell holds one protocol per node, and every
+        // checkpoint snapshot duplicates them all, so these sizes are paid
+        // millions of times over. Inline lane state (64 positions) made
+        // each node 680 bytes; it must stay behind its box.
+        assert!(
+            std::mem::size_of::<ScheduleProtocol>() <= 128,
+            "ScheduleProtocol is {} bytes",
+            std::mem::size_of::<ScheduleProtocol>()
+        );
+        assert!(
+            std::mem::size_of::<ResetOnSuccess>() <= 128,
+            "ResetOnSuccess is {} bytes",
+            std::mem::size_of::<ResetOnSuccess>()
+        );
     }
 
     #[test]

@@ -310,6 +310,20 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
+impl Shared {
+    /// Wake every idle worker after publishing new work or a new flag.
+    ///
+    /// The notify happens under `state`: a worker checks for work and
+    /// goes to sleep in one critical section, so a notify sent between
+    /// its check and its `wait` would otherwise be lost and leave it
+    /// asleep with work pending (or, on drop, block `join` forever).
+    /// Called from `Drop`, so a poisoned lock is held, not unwrapped.
+    fn wake_workers(&self) {
+        let _held = self.state.lock();
+        self.work_cv.notify_all();
+    }
+}
+
 /// The persistent worker pool + job registry.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -475,7 +489,7 @@ impl Scheduler {
             return;
         }
         drop(p);
-        self.shared.work_cv.notify_all();
+        self.shared.wake_workers();
     }
 
     /// Look up a job by id.
@@ -517,7 +531,7 @@ impl Scheduler {
     /// finish and journal; jobs stay resumable.
     pub fn drain(&self) {
         self.shared.stop_claims.store(true, Ordering::SeqCst);
-        self.shared.work_cv.notify_all();
+        self.shared.wake_workers();
     }
 
     /// Whether the pool is draining.
@@ -529,7 +543,7 @@ impl Scheduler {
 impl Drop for Scheduler {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_cv.notify_all();
+        self.shared.wake_workers();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -611,7 +625,7 @@ fn worker_loop(shared: &Shared) {
             }
         }));
         complete_task(&job, unit, seed, outcome);
-        shared.work_cv.notify_all();
+        shared.wake_workers();
     }
 }
 
@@ -770,6 +784,60 @@ mod tests {
         assert_eq!(result.cells.len(), 2);
         assert_eq!(job.status().done_units, 2);
         assert!(job.status().slots_done > 0.0);
+    }
+
+    #[test]
+    fn one_worker_pool_never_loses_a_wake_up() {
+        // A 1-worker pool races its worker's claim checks against
+        // `activate` and `drop`: a notify sent between the worker's check
+        // and its `wait` is lost unless it is sent under the state lock,
+        // and the cycle hangs. Idle (never activated) jobs lengthen each
+        // claim scan, which widens that window, and the test spins on the
+        // job's state instead of sleeping in `wait`, so `drop` follows
+        // the last task closely enough to land in the worker's final
+        // scan. Correct code passes whatever the timing; the deadline
+        // turns a lost wake-up into a failure.
+        const CYCLES: usize = 1024;
+        const IDLE_JOBS: usize = 512;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            let base = ScenarioSpec::batch(2, 0.0)
+                .algos([AlgoSpec::cjz_constant_jamming()])
+                .until_drained(1_000);
+            let job_spec = |id: String| JobSpec {
+                id,
+                sweep: SweepSpec::new("wake", "Wake-up cycle", base.clone()),
+                priority: 0,
+                dir: None,
+                resume: false,
+            };
+            for i in 0..CYCLES {
+                let sched = Scheduler::new(1);
+                let job = sched.submit(job_spec(format!("w{i}"))).expect("submit");
+                for k in 0..IDLE_JOBS {
+                    sched.submit(job_spec(format!("idle{k}"))).expect("submit");
+                }
+                sched.activate(&job);
+                while !job.progress.lock().expect("progress").state.terminal() {
+                    std::hint::spin_loop();
+                }
+                drop(sched);
+                assert_eq!(job.wait(), JobState::Done, "cycle {i}");
+                let _ = done_tx.send(i);
+            }
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        let mut finished = 0;
+        while finished < CYCLES {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            match done_rx.recv_timeout(left) {
+                Ok(_) => finished += 1,
+                // The cycle thread panicked: `join` below reports why.
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(e) => panic!("scheduler hung after {finished}/{CYCLES} cycles: {e}"),
+            }
+        }
+        cycles.join().expect("cycle thread");
     }
 
     #[test]

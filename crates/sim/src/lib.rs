@@ -49,6 +49,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adversary;
+mod calendar;
 pub mod channel;
 pub mod checkpoint;
 pub mod config;

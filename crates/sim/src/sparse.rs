@@ -12,7 +12,7 @@
 //!   samples its **next broadcast slot** directly from its schedule's
 //!   survival function
 //!   ([`Protocol::next_send_within`](crate::node::Protocol::next_send_within))
-//!   and is parked in a calendar (a min-heap keyed by send slot);
+//!   and is parked in a calendar keyed by send slot (see below);
 //! * the adversary is asked to [`forecast`](crate::adversary::Adversary::forecast)
 //!   quiet spans (no injections, constant jam state); slots inside a span
 //!   with no scheduled broadcaster are resolved in **O(1) batches**
@@ -24,6 +24,21 @@
 //! Per-slot cost thus drops from O(population) to O(events), which is
 //! what makes million-node populations and multi-million-slot horizons
 //! tractable.
+//!
+//! # The calendar
+//!
+//! Scheduled sends live in a radix queue (`crate::calendar`): O(1)
+//! amortized push and pop where a binary heap pays O(log n) per event,
+//! cloned wholesale into checkpoint snapshots, with stale `(id, seq)`
+//! entries dropped lazily. Its one invariant is the **insert floor**: no
+//! send is ever scheduled before the slot last executed — injected nodes
+//! send in their arrival slot at the earliest, everyone else strictly
+//! after the current slot. Sends do land below a minimum that was peeked
+//! but not yet executed (arrivals on consulted slots, dormant nodes
+//! re-sampled by a later run call), so the calendar raises its floor only
+//! when an executed slot drains. Within a slot, broadcasters pop in no
+//! particular order; nothing downstream depends on it (each node draws
+//! from its own stream, and only a lone sender is ever singled out).
 //!
 //! # Equivalence and fallback
 //!
@@ -51,10 +66,8 @@
 //! jams) stay on the sparse path: the engine consults them exactly at
 //! the slots their forecasts name.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::adversary::{Adversary, Forecast};
+use crate::calendar::Calendar;
 use crate::channel::ChannelModel;
 use crate::config::Execution;
 use crate::engine::{ActiveNode, Simulator, StopReason};
@@ -87,7 +100,7 @@ struct Plan {
     /// Global slot through which the protocol's state has been consumed
     /// by sampling (its next act corresponds to slot `advanced_to + 1`).
     advanced_to: u64,
-    /// Invalidation counter: heap/dormant entries carrying an older
+    /// Invalidation counter: calendar/dormant entries carrying an older
     /// sequence number are stale and ignored.
     seq: u64,
 }
@@ -99,11 +112,19 @@ impl Plan {
     }
 }
 
+/// Whether `(id, seq)` names a live, current plan in `plans`.
+#[inline]
+fn valid(plans: &[Plan], id: u64, seq: u64) -> bool {
+    plans
+        .get(id as usize)
+        .is_some_and(|p| p.live() && p.seq == seq)
+}
+
 /// Calendar and per-node plans of an engaged sparse run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseState {
-    /// Scheduled broadcasts: `Reverse((slot, node id, seq))`.
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// Scheduled broadcasts, keyed by send slot and stamped `(id, seq)`.
+    calendar: Calendar,
     /// Plans indexed by raw node id (the engine assigns ids densely in
     /// spawn order, so a plain vector beats hashing at mega scale).
     plans: Vec<Plan>,
@@ -138,12 +159,11 @@ impl SparseState {
         plan
     }
 
-    /// Whether `(id, seq)` names a live, current plan.
-    #[inline]
-    fn valid(&self, id: u64, seq: u64) -> bool {
-        self.plans
-            .get(id as usize)
-            .is_some_and(|p| p.live() && p.seq == seq)
+    /// Earliest slot with a valid scheduled broadcast, discarding stale
+    /// calendar entries.
+    fn peek_valid(&mut self) -> Option<u64> {
+        let plans = &self.plans;
+        self.calendar.peek(&|id, seq| valid(plans, id, seq))
     }
 }
 
@@ -227,24 +247,13 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
                 debug_assert!(gap < end - from, "gap must respect the bound");
                 let send = from + 1 + gap;
                 plan.advanced_to = send;
-                state.heap.push(Reverse((send, id, plan.seq)));
+                state.calendar.push(send, id, plan.seq);
             }
             None => {
                 plan.advanced_to = end;
                 state.dormant.push((id, plan.seq));
             }
         }
-    }
-
-    /// Earliest valid scheduled broadcast, discarding stale entries.
-    fn peek_valid(state: &mut SparseState) -> Option<u64> {
-        while let Some(&Reverse((slot, id, seq))) = state.heap.peek() {
-            if state.valid(id, seq) {
-                return Some(slot);
-            }
-            state.heap.pop();
-        }
-        None
     }
 
     /// Extend the planning bound to `end`, re-sampling dormant nodes
@@ -259,7 +268,7 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
         state.bound = end;
         let dormant = std::mem::take(&mut state.dormant);
         for (id, seq) in dormant {
-            if state.valid(id, seq) {
+            if valid(&state.plans, id, seq) {
                 Self::plan_node(state, &mut self.nodes, id, end);
             }
         }
@@ -308,7 +317,7 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
                         let SparseMode::Engaged(state) = &mut self.sparse else {
                             unreachable!("sparse loop requires engaged state")
                         };
-                        Self::peek_valid(state)
+                        state.peek_valid()
                     };
                     match send {
                         Some(send) if send <= until => {
@@ -410,16 +419,13 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
                 unreachable!("sparse exec requires engaged state")
             };
             self.broadcasters.clear();
-            while let Some(&Reverse((s, id, seq))) = state.heap.peek() {
-                if s > slot {
-                    break;
-                }
-                debug_assert_eq!(s, slot, "scheduled send slipped past execution");
-                state.heap.pop();
-                if state.valid(id, seq) {
-                    self.broadcasters.push(state.plans[id as usize].idx);
-                }
-            }
+            let plans = &state.plans;
+            let broadcasters = &mut self.broadcasters;
+            state.calendar.pop_slot(
+                slot,
+                |id, seq| valid(plans, id, seq),
+                |id| broadcasters.push(plans[id as usize].idx),
+            );
         }
         for &idx in &self.broadcasters {
             self.nodes[idx as usize].accesses += 1;
@@ -468,7 +474,7 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
                 // Every remaining protocol restarts its send process:
                 // deliver the success, invalidate all scheduled sends,
                 // and re-sample from scratch.
-                state.heap.clear();
+                state.calendar.clear();
                 state.dormant.clear();
                 for (idx, node) in self.nodes.iter_mut().enumerate() {
                     node.proto.observe(slot - node.arrival_slot, feedback);
