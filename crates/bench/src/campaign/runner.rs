@@ -6,39 +6,34 @@
 //! [`Scheduler`](crate::service::Scheduler) (the multi-job successor of
 //! the scenario layer's work-stealing
 //! [`replicate`](crate::scenario::runner::replicate()) pool), so a
-//! straggler cell never idles the pool. Each task streams its slots
-//! through a [`StreamingStats`] accumulator via the engine's
-//! `run_for_with` / `run_until_drained_with` observers — no per-slot
-//! storage anywhere, so campaign memory stays O(axes × checkpoints),
-//! independent of horizon. Task results fold into per-cell
-//! [`CellResult`]s in deterministic order (seed order within algorithm
-//! within cell), so campaign output — and the `RESULTS.md` rendered from
-//! it — is byte-stable across runs, thread counts, and (because cells
-//! are journaled as they complete) across kill/resume boundaries.
+//! straggler cell never idles the pool. Each task runs its seeds through
+//! [`ScenarioRunner::run_task`](crate::scenario::ScenarioRunner::run_task)
+//! — the same per-seed path as every other front end — and keeps only a
+//! `SeedStats` row read off the finished trace: the trace's totals
+//! ([`Trace::totals`](contention_sim::Trace::totals)) plus a few
+//! departure-derived means. Cells run in aggregate record mode, so
+//! nothing stores per-slot records and campaign memory stays
+//! O(axes × checkpoints), independent of horizon. Task results fold into
+//! per-cell [`CellResult`]s in deterministic order (seed order within
+//! algorithm within cell), so campaign output — and the `RESULTS.md`
+//! rendered from it — is byte-stable across runs, thread counts, and
+//! (because cells are journaled as they complete) across kill/resume
+//! boundaries.
 
-use contention_sim::observer::StreamingStats;
-use contention_sim::{StopReason, Trace};
+use contention_sim::StreamingStats;
 
-use crate::scenario::spec::{AlgoSpec, HorizonSpec, ScenarioSpec};
-use crate::scenario::ScenarioRunner;
+use crate::scenario::spec::{AlgoSpec, ScenarioSpec};
+use crate::scenario::TrialOutcome;
 use crate::service::{run_local, LocalOptions};
 
 use super::sweep::{Cell, SweepSpec};
 
-/// Online statistics from one (cell, algorithm, seed) run.
+/// What one (cell, algorithm, seed) run contributes to its cell row.
 #[derive(Debug, Clone)]
 pub(crate) struct SeedStats {
-    slots: u64,
     drained: bool,
-    arrivals: u64,
-    jammed: u64,
-    active: u64,
-    successes: u64,
-    broadcasts: u64,
-    /// Ground-truth silent slots (no broadcasters, unjammed).
-    silence: u64,
-    /// Ground-truth collision slots (≥ 2 broadcasters, unjammed).
-    collisions: u64,
+    /// The trace's totals: counts, outcome tallies, checkpoint curve.
+    totals: StreamingStats,
     mean_latency: Option<f64>,
     /// Mean per-delivery energy under the cell's listen cost.
     mean_energy: Option<f64>,
@@ -47,8 +42,26 @@ pub(crate) struct SeedStats {
     first_access: Option<u64>,
     /// Slot of the first delivery.
     first_success_slot: Option<u64>,
-    /// Dyadic `(t, successes_t)` snapshots.
-    checkpoints: Vec<(u64, u64)>,
+}
+
+impl SeedStats {
+    /// Read one finished run's row off its trial outcome. Shared by the
+    /// scalar and the 64-wide lane-block path, so both extract the exact
+    /// same metrics.
+    pub(crate) fn new(spec: &ScenarioSpec, trial: &TrialOutcome) -> SeedStats {
+        let trace = &trial.trace;
+        let first = trace.departures().first();
+        SeedStats {
+            drained: trial.drained,
+            totals: trace.totals().clone(),
+            mean_latency: trace.mean_latency(),
+            mean_energy: trace.mean_energy(spec.channel.listen_cost),
+            first_access: first
+                .map(|d| d.accesses)
+                .or_else(|| trace.survivors().first().map(|s| s.accesses)),
+            first_success_slot: first.map(|d| d.departure_slot),
+        }
+    }
 }
 
 /// Aggregated results of one grid cell for one roster algorithm.
@@ -196,125 +209,6 @@ impl CampaignRunner {
     }
 }
 
-/// Fold one finished run — its streamed accumulator plus its trace —
-/// into the [`SeedStats`] row. Shared by the scalar task path and the
-/// 64-wide lane-block path so both extract the exact same metrics.
-fn finish_seed(
-    spec: &ScenarioSpec,
-    slots: u64,
-    drained: bool,
-    stats: &StreamingStats,
-    trace: &Trace,
-) -> SeedStats {
-    let first_access = trace
-        .departures()
-        .first()
-        .map(|d| d.accesses)
-        .or_else(|| trace.survivors().first().map(|s| s.accesses));
-    SeedStats {
-        slots,
-        drained,
-        arrivals: stats.arrivals(),
-        jammed: stats.jammed(),
-        active: stats.active(),
-        successes: stats.successes(),
-        broadcasts: stats.broadcasts(),
-        silence: stats.silence(),
-        collisions: stats.collisions(),
-        mean_latency: trace.mean_latency(),
-        mean_energy: trace.mean_energy(spec.channel.listen_cost),
-        first_access,
-        first_success_slot: trace.departures().first().map(|d| d.departure_slot),
-        checkpoints: stats
-            .checkpoints()
-            .iter()
-            .map(|&(t, _, _, _, s)| (t, s))
-            .collect(),
-    }
-}
-
-/// Run one (cell, algorithm, seed) task, streaming slots through a
-/// [`StreamingStats`] accumulator (the cell spec is already in aggregate
-/// record mode, so nothing stores per-slot records).
-pub(crate) fn run_seed(spec: &ScenarioSpec, algo: &AlgoSpec, seed: u64) -> SeedStats {
-    let runner = ScenarioRunner::new(spec.clone());
-    let mut sim = runner.sim(algo, seed);
-    let mut stats = StreamingStats::new();
-    let drained = if let Some(policy) = spec.checkpoint {
-        // Checkpointed cells advance chunk by chunk — the exact call
-        // pattern capture passes and window replays use — so a window
-        // replayed post-hoc from this cell's checkpoint handle walks the
-        // same trajectory the journaled aggregates came from, even under
-        // sparse execution. Drain is detected at chunk boundaries.
-        let drain_bounded = matches!(spec.horizon, HorizonSpec::UntilDrained { .. });
-        loop {
-            if runner.advance_chunk(&mut sim, policy.every, |_, rec| stats.record(rec)) == 0 {
-                break;
-            }
-            if drain_bounded && sim.active_count() == 0 && sim.adversary().exhausted() {
-                break;
-            }
-        }
-        sim.active_count() == 0 && sim.adversary().exhausted()
-    } else {
-        match spec.horizon {
-            HorizonSpec::Fixed { slots } => {
-                sim.run_for_with(slots, |_, rec| stats.record(rec));
-                sim.active_count() == 0 && sim.adversary().exhausted()
-            }
-            HorizonSpec::UntilDrained { max_slots } => {
-                sim.run_until_drained_with(max_slots, |_, rec| stats.record(rec))
-                    == StopReason::Drained
-            }
-        }
-    };
-    let slots = sim.current_slot();
-    let trace = sim.into_trace();
-    finish_seed(spec, slots, drained, &stats, &trace)
-}
-
-/// Seeds per scheduler task for this (cell, algorithm) unit: 64 when the
-/// cell is lane-eligible under bit-parallel execution, 1 otherwise. The
-/// scheduler calls this when laying out tasks and again in workers when
-/// claiming them — it is a pure function of the unit, so the two always
-/// agree.
-pub(crate) fn lane_block(spec: &ScenarioSpec, algo: &AlgoSpec) -> u64 {
-    ScenarioRunner::new(spec.clone()).lane_block(algo)
-}
-
-/// Lane counterpart of [`run_seed`]: run the seed block
-/// `first_seed .. first_seed + n` through the bit-parallel engine in one
-/// pass, streaming each lane's slots through its own [`StreamingStats`],
-/// and return one row per seed in seed order — bit-for-bit the rows
-/// [`run_seed`] would produce for the same seeds one at a time.
-pub(crate) fn run_seed_block(
-    spec: &ScenarioSpec,
-    algo: &AlgoSpec,
-    first_seed: u64,
-    n: u64,
-) -> Vec<SeedStats> {
-    let runner = ScenarioRunner::new(spec.clone());
-    let mut sim = runner.lane_sim(algo, first_seed, n);
-    let mut stats: Vec<StreamingStats> = (0..n).map(|_| StreamingStats::new()).collect();
-    match spec.horizon {
-        HorizonSpec::Fixed { slots } => {
-            sim.run_for_with(slots, |j, _, rec| stats[j].record(rec));
-        }
-        HorizonSpec::UntilDrained { max_slots } => {
-            sim.run_until_drained_with(max_slots, |j, _, rec| stats[j].record(rec));
-        }
-    }
-    let per_lane: Vec<(u64, bool)> = (0..n as usize)
-        .map(|j| (sim.lane_slots(j), sim.lane_drained(j)))
-        .collect();
-    sim.into_traces()
-        .into_iter()
-        .zip(per_lane)
-        .zip(&stats)
-        .map(|((trace, (slots, drained)), st)| finish_seed(spec, slots, drained, st, &trace))
-        .collect()
-}
-
 /// Fold one unit's per-seed statistics (in seed order) into its
 /// [`CellResult`] row.
 pub(crate) fn aggregate(cell: &Cell, algo: &AlgoSpec, rows: &[SeedStats]) -> CellResult {
@@ -333,7 +227,7 @@ pub(crate) fn aggregate(cell: &Cell, algo: &AlgoSpec, rows: &[SeedStats]) -> Cel
     // keeps the fold order-independent and the output sorted.
     let mut by_t: std::collections::BTreeMap<u64, (u64, f64)> = Default::default();
     for row in rows {
-        for &(t, s) in &row.checkpoints {
+        for &(t, _, _, _, s) in row.totals.checkpoints() {
             let e = by_t.entry(t).or_insert((0, 0.0));
             e.0 += 1;
             e.1 += s as f64;
@@ -345,15 +239,15 @@ pub(crate) fn aggregate(cell: &Cell, algo: &AlgoSpec, rows: &[SeedStats]) -> Cel
         algo: algo.clone(),
         algo_name: algo.name(),
         seeds: rows.len() as u64,
-        mean_slots: mean(&|r| r.slots as f64),
+        mean_slots: mean(&|r| r.totals.slots() as f64),
         drained_frac: mean(&|r| f64::from(u8::from(r.drained))),
-        mean_arrivals: mean(&|r| r.arrivals as f64),
-        mean_jammed: mean(&|r| r.jammed as f64),
-        mean_active: mean(&|r| r.active as f64),
-        mean_delivered: mean(&|r| r.successes as f64),
-        mean_broadcasts: mean(&|r| r.broadcasts as f64),
-        mean_silence: mean(&|r| r.silence as f64),
-        mean_collisions: mean(&|r| r.collisions as f64),
+        mean_arrivals: mean(&|r| r.totals.arrivals() as f64),
+        mean_jammed: mean(&|r| r.totals.jammed() as f64),
+        mean_active: mean(&|r| r.totals.active() as f64),
+        mean_delivered: mean(&|r| r.totals.successes() as f64),
+        mean_broadcasts: mean(&|r| r.totals.broadcasts() as f64),
+        mean_silence: mean(&|r| r.totals.silence() as f64),
+        mean_collisions: mean(&|r| r.totals.collisions() as f64),
         mean_latency: opt_mean(&|r| r.mean_latency),
         mean_energy: opt_mean(&|r| r.mean_energy),
         mean_first_access: opt_mean(&|r| r.first_access.map(|a| a as f64)),
@@ -374,7 +268,7 @@ mod tests {
     use super::*;
     use crate::campaign::sweep::Axis;
     use crate::scenario::spec::RecordMode;
-    use crate::scenario::{AlgoSpec, BaselineSpec};
+    use crate::scenario::{AlgoSpec, BaselineSpec, ScenarioRunner};
 
     fn mini_sweep() -> SweepSpec {
         SweepSpec::new(
@@ -456,16 +350,15 @@ mod tests {
             .fixed_horizon(500)
             .aggregate_only();
         let algo = spec.algos[0].clone();
-        let plain = run_seed(&spec, &algo, 3);
-        let chunked = run_seed(&spec.clone().checkpoint_every(64), &algo, 3);
-        assert_eq!(plain.slots, chunked.slots);
+        let row = |spec: ScenarioSpec| {
+            SeedStats::new(&spec, &ScenarioRunner::new(spec.clone()).run_seed(&algo, 3))
+        };
+        let plain = row(spec.clone());
+        let chunked = row(spec.checkpoint_every(64));
         assert_eq!(plain.drained, chunked.drained);
-        assert_eq!(plain.arrivals, chunked.arrivals);
-        assert_eq!(plain.jammed, chunked.jammed);
-        assert_eq!(plain.successes, chunked.successes);
-        assert_eq!(plain.broadcasts, chunked.broadcasts);
-        assert_eq!(plain.checkpoints, chunked.checkpoints);
+        assert_eq!(plain.totals, chunked.totals);
         assert_eq!(plain.mean_latency, chunked.mean_latency);
+        assert_eq!(plain.first_access, chunked.first_access);
     }
 
     #[test]

@@ -322,8 +322,8 @@ impl SweepSpec {
     /// scenario is the base with the point edits applied axis by axis and
     /// its name suffixed with the coordinates, e.g. `batch[jam=0.25,n=64]`.
     /// Campaign cells always run memory-bounded ([`RecordMode::Aggregate`]):
-    /// the runner streams per-slot records through an online accumulator,
-    /// so storing them would be pure overhead.
+    /// the runner reads each seed's row off its trace's totals, so storing
+    /// per-slot records would be pure overhead.
     pub fn cells(&self) -> Vec<Cell> {
         let total = self.cell_count();
         let mut out = Vec::with_capacity(total);

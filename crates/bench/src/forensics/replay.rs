@@ -5,7 +5,9 @@ use std::sync::{Arc, Mutex};
 
 use contention_sim::{Simulator, SlotRecord, Snapshot, SnapshotError};
 
-use crate::scenario::{replicate, AlgoSpec, ScenarioRunner, ScenarioSpec};
+use crate::scenario::{
+    replicate, AlgoSpec, ScenarioRunner, ScenarioSpec, DEFAULT_RECORD_CAP_BYTES,
+};
 
 use super::cache::WindowCache;
 use super::{window_fingerprint, DEFAULT_CACHE_BYTES, DEFAULT_CHUNK};
@@ -35,6 +37,14 @@ pub enum ReplayError {
         /// Requested window end (exclusive).
         hi: u64,
         /// The horizon cap; valid windows satisfy `hi <= cap + 1`.
+        cap: u64,
+    },
+    /// The window's records would exceed the memory cap full-record runs
+    /// have ([`DEFAULT_RECORD_CAP_BYTES`]); request narrower windows.
+    TooLarge {
+        /// Requested window length in slots.
+        slots: u64,
+        /// The cap in bytes.
         cap: u64,
     },
     /// The roster has no algorithm at the requested index.
@@ -67,6 +77,12 @@ impl std::fmt::Display for ReplayError {
             ReplayError::OutOfRange { hi, cap } => write!(
                 f,
                 "window end {hi} reaches past the horizon cap {cap} (valid slots are 1..={cap})"
+            ),
+            ReplayError::TooLarge { slots, cap } => write!(
+                f,
+                "window of {slots} slots would hold more than {} MiB of slot records; \
+                 request narrower windows",
+                cap >> 20
             ),
             ReplayError::NoSuchAlgo { index, roster } => {
                 write!(
@@ -253,6 +269,15 @@ impl WindowReplayer {
         let cap = self.runner.spec().horizon.cap();
         if hi > cap + 1 {
             return Err(ReplayError::OutOfRange { hi, cap });
+        }
+        // Checked before `replay_window` reserves the records.
+        let slots = hi - lo;
+        let record = std::mem::size_of::<SlotRecord>() as u64;
+        if slots.saturating_mul(record) > DEFAULT_RECORD_CAP_BYTES {
+            return Err(ReplayError::TooLarge {
+                slots,
+                cap: DEFAULT_RECORD_CAP_BYTES,
+            });
         }
         Ok(())
     }
@@ -488,6 +513,26 @@ mod tests {
             replayer.window(1, 1000), // cap is 600
             Err(ReplayError::OutOfRange { .. })
         ));
+        // A drained run under a 2^40-slot drain cap: the window is in
+        // range, but its records would not fit the full-record cap.
+        let mut drained = WindowReplayer::capture(
+            ScenarioSpec::batch(12, 0.25)
+                .algos([AlgoSpec::cjz_constant_jamming()])
+                .until_drained(1 << 40)
+                .aggregate_only()
+                .checkpoint_every(100),
+            0,
+            1,
+        )
+        .expect("capture");
+        assert!(drained.drained());
+        let err = drained.window(1, 1 << 40).unwrap_err();
+        assert!(matches!(err, ReplayError::TooLarge { .. }), "{err}");
+        assert!(err.to_string().contains("narrower"), "{err}");
+        assert!(
+            drained.window(1, 1 << 10).is_ok(),
+            "a window inside the cap replays"
+        );
         assert!(matches!(
             WindowReplayer::capture(spec(), 7, 1),
             Err(ReplayError::NoSuchAlgo {

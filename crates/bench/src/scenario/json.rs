@@ -926,6 +926,18 @@ impl ScenarioSpec {
             "aggregate" => RecordMode::Aggregate,
             other => return Err(SpecError::new(format!("unknown record mode `{other}`"))),
         };
+        // Both counts arrive from outside (daemon submits, `--spec`
+        // files); the builders clamp or assert them, so parsing refuses
+        // what the builders never produce.
+        let positive = |field: &str, v: u64| {
+            if v == 0 {
+                Err(SpecError::new(format!(
+                    "`{field}` must be at least 1, got 0"
+                )))
+            } else {
+                Ok(v)
+            }
+        };
         Ok(ScenarioSpec {
             name: j.get("name")?.as_str()?.to_string(),
             algos: j
@@ -938,7 +950,7 @@ impl ScenarioSpec {
             budget,
             smooth,
             horizon,
-            seeds: j.get("seeds")?.as_u64()?,
+            seeds: positive("seeds", j.get("seeds")?.as_u64()?)?,
             seed_base: j.get("seed_base")?.as_u64()?,
             record,
             // Absent in documents written before the knob existed.
@@ -966,7 +978,7 @@ impl ScenarioSpec {
             checkpoint: match j.get("checkpoint") {
                 Ok(Json::Null) | Err(_) => None,
                 Ok(c) => Some(CheckpointPolicy {
-                    every: c.get("every")?.as_u64()?,
+                    every: positive("checkpoint.every", c.get("every")?.as_u64()?)?,
                 }),
             },
         })
@@ -1060,6 +1072,26 @@ mod tests {
         let parsed = ScenarioSpec::from_json(&json).unwrap();
         assert_eq!(parsed.channel, ChannelSpec::no_collision_detection());
         assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn zero_seeds_are_rejected_by_name() {
+        let text = ScenarioSpec::batch(4, 0.0).seeds(2).to_json_string();
+        assert!(ScenarioSpec::from_json_str(&text).is_ok());
+        let zero = text.replace("\"seeds\":2", "\"seeds\":0");
+        let err = ScenarioSpec::from_json_str(&zero).unwrap_err();
+        assert!(err.to_string().contains("`seeds`"), "{err}");
+    }
+
+    #[test]
+    fn zero_checkpoint_cadence_is_rejected_by_name() {
+        let text = ScenarioSpec::batch(4, 0.0)
+            .checkpoint_every(64)
+            .to_json_string();
+        assert!(ScenarioSpec::from_json_str(&text).is_ok());
+        let zero = text.replace("\"every\":64", "\"every\":0");
+        let err = ScenarioSpec::from_json_str(&zero).unwrap_err();
+        assert!(err.to_string().contains("`checkpoint.every`"), "{err}");
     }
 
     #[test]

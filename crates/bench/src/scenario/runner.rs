@@ -7,10 +7,12 @@
 //! policy (full traces vs memory-bounded aggregates), seed layout and
 //! thread-bounded replication live in exactly one place.
 
+use std::convert::Infallible;
+
 use contention_sim::adversary::Adversary;
 use contention_sim::lanes::{lane_eligible, LaneSimulator, LANES};
 use contention_sim::SlotRecord;
-use contention_sim::{SimConfig, Simulator, Snapshot, SnapshotError, StopReason, Trace};
+use contention_sim::{SimConfig, Simulator, Snapshot, SnapshotError, Trace};
 
 use super::registry;
 use super::spec::{AlgoSpec, HorizonSpec, RecordMode, ScenarioSpec};
@@ -381,6 +383,29 @@ impl ScenarioRunner {
             .collect()
     }
 
+    /// Run one replication task: the seeds from replication index `index`
+    /// (simulator seed `seed_base + index`) on. When `algo` is
+    /// lane-eligible that is a block of up to [`lane_block`] seeds on the
+    /// lane engine, clipped to the spec's seed count; otherwise the one
+    /// seed on the scalar engine. Tasks start at multiples of
+    /// [`lane_block`].
+    ///
+    /// This is the one dispatcher every replication layer goes through —
+    /// [`collect`](Self::collect) here, the service scheduler's workers —
+    /// so a seed runs the same way whichever front end asked for it.
+    ///
+    /// [`lane_block`]: Self::lane_block
+    pub fn run_task(&self, algo: &AlgoSpec, index: u64) -> Vec<TrialOutcome> {
+        let block = self.lane_block(algo);
+        let first_seed = self.spec.seed_base + index;
+        if block > 1 {
+            let n = block.min(self.spec.seeds - index);
+            self.run_seed_block(algo, first_seed, n)
+        } else {
+            vec![self.run_seed(algo, first_seed)]
+        }
+    }
+
     /// Run one (algorithm, seed) pair under the scenario's horizon policy.
     ///
     /// With a [`CheckpointPolicy`](super::spec::CheckpointPolicy) on the spec, the run advances in
@@ -391,41 +416,39 @@ impl ScenarioRunner {
     /// never stored (replay a window for full fidelity) and drain is
     /// detected at chunk boundaries.
     pub fn run_seed(&self, algo: &AlgoSpec, seed: u64) -> TrialOutcome {
-        if let Some(policy) = self.spec.checkpoint {
-            let mut sim = self.sim(algo, seed);
-            let drain_bounded = matches!(self.spec.horizon, HorizonSpec::UntilDrained { .. });
-            loop {
-                if self.advance_chunk(&mut sim, policy.every, |_, _| {}) == 0 {
-                    break;
-                }
-                if drain_bounded && sim.active_count() == 0 && sim.adversary().exhausted() {
-                    break;
-                }
-            }
-            let drained = sim.active_count() == 0 && sim.adversary().exhausted();
-            let slots = sim.current_slot();
-            return TrialOutcome {
-                trace: sim.into_trace(),
-                slots,
-                drained,
-            };
-        }
         let mut sim = self.sim(algo, seed);
-        let drained = match self.spec.horizon {
-            HorizonSpec::UntilDrained { max_slots } => {
-                sim.run_until_drained(max_slots) == StopReason::Drained
+        match (self.spec.checkpoint, self.spec.horizon) {
+            (Some(policy), _) => {
+                let Ok(()) = self.run_chunks(&mut sim, policy.every, |_| Ok::<_, Infallible>(()));
             }
-            HorizonSpec::Fixed { slots } => {
-                sim.run_for(slots);
-                sim.active_count() == 0 && sim.adversary().exhausted()
+            (None, HorizonSpec::UntilDrained { max_slots }) => {
+                sim.run_until_drained(max_slots);
             }
-        };
-        let slots = sim.current_slot();
-        TrialOutcome {
-            trace: sim.into_trace(),
-            slots,
-            drained,
+            (None, HorizonSpec::Fixed { slots }) => sim.run_for(slots),
         }
+        finish(sim)
+    }
+
+    /// The chunk loop of checkpointed runs: [`advance_chunk`] until the
+    /// horizon cap (or, for drain-bounded horizons, the first boundary at
+    /// which the system has drained), calling `at_boundary` after every
+    /// chunk. Stops at the hook's first error.
+    ///
+    /// [`advance_chunk`]: Self::advance_chunk
+    fn run_chunks<E>(
+        &self,
+        sim: &mut Simulator<AlgoSpec, Box<dyn Adversary>>,
+        every: u64,
+        mut at_boundary: impl FnMut(&Simulator<AlgoSpec, Box<dyn Adversary>>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let drain_bounded = matches!(self.spec.horizon, HorizonSpec::UntilDrained { .. });
+        while self.advance_chunk(sim, every, |_, _| {}) > 0 {
+            at_boundary(sim)?;
+            if drain_bounded && drained(sim) {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Advance `sim` to the next checkpoint chunk boundary (the next
@@ -474,25 +497,13 @@ impl ScenarioRunner {
             .expect("run_seed_checkpointed requires a checkpoint policy on the spec");
         let mut sim = self.sim(algo, seed);
         let mut snapshots = vec![sim.snapshot()?];
-        let drain_bounded = matches!(self.spec.horizon, HorizonSpec::UntilDrained { .. });
-        loop {
-            if self.advance_chunk(&mut sim, policy.every, |_, _| {}) == 0 {
-                break;
-            }
+        self.run_chunks(&mut sim, policy.every, |sim| {
             snapshots.push(sim.snapshot()?);
-            if drain_bounded && sim.active_count() == 0 && sim.adversary().exhausted() {
-                break;
-            }
-        }
-        let drained = sim.active_count() == 0 && sim.adversary().exhausted();
-        let slots = sim.current_slot();
+            Ok(())
+        })?;
         Ok(CheckpointedTrial {
             seed,
-            outcome: TrialOutcome {
-                trace: sim.into_trace(),
-                slots,
-                drained,
-            },
+            outcome: finish(sim),
             snapshots,
         })
     }
@@ -557,24 +568,17 @@ impl ScenarioRunner {
         F: Fn(u64, TrialOutcome) -> T + Sync,
     {
         let block = self.lane_block(algo);
-        if block > 1 {
-            let blocks = self.spec.seeds.div_ceil(block);
-            let outcomes = replicate(blocks, |b| {
-                let first = self.spec.seed_base + b * block;
-                let n = block.min(self.spec.seeds - b * block);
-                self.run_seed_block(algo, first, n)
-            });
-            return outcomes
+        replicate(self.spec.seeds.div_ceil(block), |task| {
+            let first = self.spec.seed_base + task * block;
+            self.run_task(algo, task * block)
                 .into_iter()
-                .flatten()
-                .enumerate()
-                .map(|(i, outcome)| f(self.spec.seed_base + i as u64, outcome))
-                .collect();
-        }
-        replicate(self.spec.seeds, |i| {
-            let seed = self.spec.seed_base + i;
-            f(seed, self.run_seed(algo, seed))
+                .zip(first..)
+                .map(|(outcome, seed)| f(seed, outcome))
+                .collect::<Vec<T>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Run one algorithm across all seeds with full control of the
@@ -589,6 +593,20 @@ impl ScenarioRunner {
             let seed = self.spec.seed_base + i;
             f(seed, self.sim(algo, seed))
         })
+    }
+}
+
+/// Whether `sim` has drained: no active nodes and an exhausted adversary.
+fn drained<A: Adversary>(sim: &Simulator<AlgoSpec, A>) -> bool {
+    sim.active_count() == 0 && sim.adversary().exhausted()
+}
+
+/// The outcome of a finished scalar run.
+fn finish<A: Adversary>(sim: Simulator<AlgoSpec, A>) -> TrialOutcome {
+    TrialOutcome {
+        slots: sim.current_slot(),
+        drained: drained(&sim),
+        trace: sim.into_trace(),
     }
 }
 

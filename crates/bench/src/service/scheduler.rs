@@ -9,6 +9,11 @@
 //! never idles the pool and a high-priority smoke job overtakes a
 //! running mega-campaign at the next task boundary.
 //!
+//! Workers run each task through
+//! [`ScenarioRunner::run_task`](crate::scenario::ScenarioRunner::run_task)
+//! — the per-seed path every front end shares — and keep one
+//! `SeedStats` row per seed, read off the finished trace's totals.
+//!
 //! Determinism is preserved exactly as in the in-process runner: tasks
 //! may *execute* in any order on any number of threads, but per-seed
 //! statistics fold into their [`CellResult`] in seed order, and rows
@@ -27,9 +32,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::campaign::runner::{aggregate, lane_block, run_seed, run_seed_block, SeedStats};
+use crate::campaign::runner::{aggregate, SeedStats};
 use crate::campaign::sweep::Cell;
 use crate::campaign::{render_section, to_csv, to_jsonl, CampaignResult, CellResult, SweepSpec};
+use crate::scenario::ScenarioRunner;
 
 use super::faults::{self, FaultPoint};
 use super::journal::{recover, Journal, RecoverError};
@@ -412,10 +418,11 @@ impl Scheduler {
                 });
             } else {
                 // Lane-eligible units hand out 64-seed blocks, one engine
-                // pass per task; everything else one seed per task. The
-                // claiming worker recomputes the same block size from the
-                // unit, so layout and execution always agree.
-                let block = lane_block(&cells[ci].spec, &cells[ci].spec.algos[ai]);
+                // pass per task; everything else one seed per task.
+                // `ScenarioRunner::run_task` recomputes the same block
+                // size from the unit, so layout and execution agree.
+                let block = ScenarioRunner::new(cells[ci].spec.clone())
+                    .lane_block(&cells[ci].spec.algos[ai]);
                 let mut s = 0;
                 while s < seeds {
                     tasks.push((u, s));
@@ -601,14 +608,13 @@ fn worker_loop(shared: &Shared) {
         let (job, unit, seed) = claimed;
         let (ci, ai) = job.units[unit];
         let cell = &job.cells[ci];
-        let algo = cell.spec.algos[ai].clone();
+        let algo = &cell.spec.algos[ai];
         // `seed` is the 0-based replication index of the task's first
-        // seed (it also indexes the unit's stats slots); the simulator
-        // seed is offset by the spec's `seed_base`, exactly like
-        // `ScenarioRunner` replication. Lane-eligible units run a whole
-        // block of seeds through one bit-parallel engine pass.
-        let sim_seed = cell.spec.seed_base + seed;
-        let block = lane_block(&cell.spec, &algo);
+        // seed (it also indexes the unit's stats slots). The task runs
+        // through `ScenarioRunner::run_task`, exactly like in-process
+        // replication: lane-eligible units run a whole block of seeds
+        // through one bit-parallel engine pass.
+        let runner = ScenarioRunner::new(cell.spec.clone());
         // The entire task body runs under `catch_unwind`, outside every
         // lock, so a panicking protocol implementation (or an injected
         // chaos panic) can never poison scheduler or job state.
@@ -617,12 +623,11 @@ fn worker_loop(shared: &Shared) {
                 panic!("injected fault: scheduler.task.panic");
             }
             faults::stall(FaultPoint::SchedulerTaskStall);
-            if block > 1 {
-                let n = block.min(cell.spec.seeds - seed);
-                run_seed_block(&cell.spec, &algo, sim_seed, n)
-            } else {
-                vec![run_seed(&cell.spec, &algo, sim_seed)]
-            }
+            runner
+                .run_task(algo, seed)
+                .iter()
+                .map(|trial| SeedStats::new(&cell.spec, trial))
+                .collect()
         }));
         complete_task(&job, unit, seed, outcome);
         shared.wake_workers();

@@ -17,7 +17,7 @@ use contention_bench::forensics::{window_fingerprint, WindowReplayer};
 use contention_bench::scenario::{
     AlgoSpec, ArrivalSpec, BaselineSpec, JammingSpec, ScenarioRunner, ScenarioSpec,
 };
-use contention_sim::{Execution, SlotRecord};
+use contention_sim::{Execution, Simulator, SlotRecord};
 
 /// Every slot of the run, collected chunk by chunk — the trajectory the
 /// checkpointed paths walk.
@@ -140,6 +140,35 @@ fn windows_are_byte_identical_across_128_seeds() {
         // Stagger the windows so every checkpoint interval gets hit.
         let lo = 1 + (seed % 6) * 128;
         assert_windows_exact(&spec, seed, &[(lo, lo + 96)]);
+    }
+}
+
+/// Resumed totals: a simulator resumed from any checkpoint of the
+/// capture pass and advanced chunk by chunk to the horizon ends with the
+/// uninterrupted run's trace totals — counts, outcome tallies, peak
+/// population and the dyadic checkpoint curve — on every engine.
+#[test]
+fn resumed_runs_end_with_the_uninterrupted_totals() {
+    for spec in [exact_spec(), sparse_spec(), lane_spec()] {
+        let every = spec.checkpoint.expect("spec must carry a policy").every;
+        let runner = ScenarioRunner::new(spec.clone());
+        let trial = runner
+            .run_seed_checkpointed(&spec.algos[0], 3)
+            .expect("capture");
+        let want = trial.outcome.trace.totals();
+        assert_eq!(want.slots(), spec.horizon.cap(), "{}", spec.name);
+        assert!(want.collisions() > 0 && want.silence() > 0, "{want:?}");
+        for snap in &trial.snapshots {
+            let mut sim = Simulator::resume_from(snap.duplicate());
+            while runner.advance_chunk(&mut sim, every, |_, _| {}) > 0 {}
+            assert_eq!(
+                sim.trace().totals(),
+                want,
+                "`{}` resumed at slot {}",
+                spec.name,
+                snap.slot()
+            );
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! gigabytes. But the engine is deterministic: a run is a pure function of
 //! its master seed. A [`Snapshot`] captures the *complete* simulator state
 //! (per-node protocol state and RNG streams, adversary state and stream,
-//! public history window, sparse-engine calendar, trace aggregates) at some
+//! public history window, sparse-engine calendar, trace totals) at some
 //! slot boundary; [`Simulator::resume_from`] rebuilds a simulator whose
 //! continuation is **bit-identical** to the uninterrupted original. Any
 //! slot window can therefore be materialized in full record fidelity after
@@ -43,6 +43,7 @@ use crate::engine::{ActiveNode, Simulator};
 use crate::history::PublicHistory;
 use crate::metrics::Trace;
 use crate::node::{NodeId, Protocol, ProtocolFactory};
+use crate::observer::StreamingStats;
 use crate::rng::SeedSequence;
 use crate::sparse::SparseMode;
 
@@ -97,6 +98,33 @@ fn fnv1a(values: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
+/// The fold behind both state digests ([`Snapshot::digest`] and
+/// [`Simulator::state_digest`]): run position, population, five trace
+/// totals, then every node's `[id, arrival_slot, accesses]`.
+fn state_digest(
+    config: &SimConfig,
+    current_slot: u64,
+    next_node: u64,
+    totals: &StreamingStats,
+    nodes: impl ExactSizeIterator<Item = [u64; 3]>,
+) -> u64 {
+    fnv1a(
+        [
+            config.seed,
+            current_slot,
+            next_node,
+            nodes.len() as u64,
+            totals.slots(),
+            totals.arrivals(),
+            totals.jammed(),
+            totals.active(),
+            totals.successes(),
+        ]
+        .into_iter()
+        .chain(nodes.flatten()),
+    )
+}
+
 /// One node's captured state.
 struct SnapshotNode {
     rng: SmallRng,
@@ -148,11 +176,8 @@ pub struct Snapshot<F> {
     sparse: SparseMode,
     next_node: u64,
     current_slot: u64,
-    agg_slots: u64,
-    agg_arrivals: u64,
-    agg_jammed: u64,
-    agg_active: u64,
-    total_successes: u64,
+    /// The trace totals at capture time, checkpoint curve included.
+    totals: StreamingStats,
 }
 
 impl<F> Snapshot<F> {
@@ -168,7 +193,7 @@ impl<F> Snapshot<F> {
 
     /// Total successes delivered up to the captured slot.
     pub fn successes(&self) -> u64 {
-        self.total_successes
+        self.totals.successes()
     }
 
     /// The captured configuration.
@@ -184,24 +209,14 @@ impl<F> Snapshot<F> {
     /// simulator that has replayed up to this snapshot's slot produces
     /// the identical value.
     pub fn digest(&self) -> u64 {
-        fnv1a(
-            [
-                self.config.seed,
-                self.current_slot,
-                self.next_node,
-                self.nodes.len() as u64,
-                self.agg_slots,
-                self.agg_arrivals,
-                self.agg_jammed,
-                self.agg_active,
-                self.total_successes,
-            ]
-            .into_iter()
-            .chain(
-                self.nodes
-                    .iter()
-                    .flat_map(|n| [n.id.raw(), n.arrival_slot, n.accesses]),
-            ),
+        state_digest(
+            &self.config,
+            self.current_slot,
+            self.next_node,
+            &self.totals,
+            self.nodes
+                .iter()
+                .map(|n| [n.id.raw(), n.arrival_slot, n.accesses]),
         )
     }
 
@@ -233,11 +248,7 @@ impl<F: Clone> Snapshot<F> {
             sparse: self.sparse.clone(),
             next_node: self.next_node,
             current_slot: self.current_slot,
-            agg_slots: self.agg_slots,
-            agg_arrivals: self.agg_arrivals,
-            agg_jammed: self.agg_jammed,
-            agg_active: self.agg_active,
-            total_successes: self.total_successes,
+            totals: self.totals.clone(),
         }
     }
 }
@@ -247,7 +258,7 @@ impl<F> std::fmt::Debug for Snapshot<F> {
         f.debug_struct("Snapshot")
             .field("slot", &self.current_slot)
             .field("population", &self.nodes.len())
-            .field("successes", &self.total_successes)
+            .field("successes", &self.totals.successes())
             .finish_non_exhaustive()
     }
 }
@@ -259,24 +270,14 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
     /// compare this against the stored snapshot's digest to prove it is
     /// walking the same trajectory.
     pub fn state_digest(&self) -> u64 {
-        fnv1a(
-            [
-                self.config.seed,
-                self.current_slot,
-                self.next_node,
-                self.nodes.len() as u64,
-                self.trace.len(),
-                self.trace.total_arrivals(),
-                self.trace.total_jammed(),
-                self.trace.total_active(),
-                self.trace.total_successes(),
-            ]
-            .into_iter()
-            .chain(
-                self.nodes
-                    .iter()
-                    .flat_map(|n| [n.id.raw(), n.arrival_slot, n.accesses]),
-            ),
+        state_digest(
+            &self.config,
+            self.current_slot,
+            self.next_node,
+            self.trace.totals(),
+            self.nodes
+                .iter()
+                .map(|n| [n.id.raw(), n.arrival_slot, n.accesses]),
         )
     }
 }
@@ -317,11 +318,7 @@ impl<F: ProtocolFactory + Clone, A: Adversary> Simulator<F, A> {
             sparse: self.sparse.clone(),
             next_node: self.next_node,
             current_slot: self.current_slot,
-            agg_slots: self.trace.len(),
-            agg_arrivals: self.trace.total_arrivals(),
-            agg_jammed: self.trace.total_jammed(),
-            agg_active: self.trace.total_active(),
-            total_successes: self.trace.total_successes(),
+            totals: self.trace.totals().clone(),
         })
     }
 }
@@ -331,8 +328,10 @@ impl<F: ProtocolFactory> Simulator<F, Box<dyn Adversary + Send>> {
     /// bit-identical to the uninterrupted original under the determinism
     /// contract in the [module docs](self).
     ///
-    /// The resumed trace carries the snapshot's aggregate totals forward;
-    /// its per-slot and departure records cover the continuation only.
+    /// The resumed trace carries the snapshot's totals forward (checkpoint
+    /// curve included), so it ends with the totals of the uninterrupted
+    /// run; its per-slot and departure records cover the continuation
+    /// only.
     pub fn resume_from(snapshot: Snapshot<F>) -> Self {
         let seeds = SeedSequence::new(snapshot.config.seed);
         let mut failure_observers = 0u64;
@@ -358,13 +357,7 @@ impl<F: ProtocolFactory> Simulator<F, Box<dyn Adversary + Send>> {
             adversary_rng: snapshot.adversary_rng,
             history: snapshot.history,
             nodes,
-            trace: Trace::resumed(
-                snapshot.agg_slots,
-                snapshot.agg_arrivals,
-                snapshot.agg_jammed,
-                snapshot.agg_active,
-                snapshot.total_successes,
-            ),
+            trace: Trace::resumed(snapshot.totals),
             next_node: snapshot.next_node,
             current_slot: snapshot.current_slot,
             broadcasters: Vec::new(),

@@ -342,18 +342,18 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
     /// Run `slots` more slots, streaming each slot's record to `observe`
     /// instead of storing it.
     ///
-    /// This is the memory-O(1) observation path for experiments that fold
-    /// their own statistics (ages, counters, [`StreamingStats`]): per-slot
-    /// records are handed to the closure by reference and never pushed to
-    /// the trace, regardless of the configured record mode. Aggregate trace
-    /// totals and departures are still maintained.
+    /// This is the path for callers that need individual records without
+    /// storing them all — window replays keep only the slots they were
+    /// asked for. Records are handed to the closure by reference and never
+    /// pushed to the trace, regardless of the configured record mode; the
+    /// trace's [`totals`](crate::metrics::Trace::totals) and departures
+    /// are still maintained.
     ///
     /// Note that in full record mode, mixing streamed and recorded slots
     /// leaves [`Trace::slot`] indexing misaligned (stored records no longer
     /// start at slot 1); streaming is intended for aggregate-style runs
     /// that never index the trace by slot.
     ///
-    /// [`StreamingStats`]: crate::observer::StreamingStats
     /// [`Trace::slot`]: crate::metrics::Trace::slot
     pub fn run_for_with<F2>(&mut self, slots: u64, mut observe: F2)
     where
@@ -367,39 +367,6 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
             let record = self.advance();
             self.trace.note_slot(&record);
             observe(self.current_slot, &record);
-        }
-    }
-
-    /// Run until the system drains (no active nodes and the adversary is
-    /// exhausted) or `max_slots` elapse, whichever comes first, streaming
-    /// each slot's record to `observe` instead of storing it.
-    ///
-    /// The drain-bounded counterpart of
-    /// [`run_for_with`](Self::run_for_with), with the same memory
-    /// contract: per-slot records go to the closure by reference and are
-    /// never pushed to the trace (aggregate totals and departures are
-    /// still maintained), so campaign-style sweeps that fold their own
-    /// statistics stay O(1) per run regardless of how long the drain
-    /// takes. The same full-record-mode indexing caveat applies.
-    pub fn run_until_drained_with<F2>(&mut self, max_slots: u64, mut observe: F2) -> StopReason
-    where
-        F2: FnMut(u64, &SlotRecord),
-    {
-        if self.sparse_active() {
-            return self.run_sparse(max_slots, true, false, Some(&mut observe));
-        }
-        for _ in 0..max_slots {
-            if self.nodes.is_empty() && self.adversary.exhausted() {
-                return StopReason::Drained;
-            }
-            let record = self.advance();
-            self.trace.note_slot(&record);
-            observe(self.current_slot, &record);
-        }
-        if self.nodes.is_empty() && self.adversary.exhausted() {
-            StopReason::Drained
-        } else {
-            StopReason::SlotLimit
         }
     }
 
@@ -754,25 +721,6 @@ mod tests {
         sim.step();
         assert_eq!(sim.trace().recorded_len(), 1);
         assert_eq!(sim.trace().len(), 51);
-    }
-
-    #[test]
-    fn run_until_drained_with_streams_and_stops_on_drain() {
-        let adv = CompositeAdversary::new(BatchArrival::new(3, 1), NoJamming);
-        let mut sim = Simulator::new(SimConfig::with_seed(7), always(), adv);
-        let mut successes = 0u64;
-        let reason = sim.run_until_drained_with(100_000, |_, rec| {
-            successes += u64::from(rec.is_success());
-        });
-        assert_eq!(reason, StopReason::Drained);
-        assert_eq!(successes, 1, "the observer saw the delivery");
-        assert_eq!(sim.trace().recorded_len(), 0, "streamed, never stored");
-        assert_eq!(sim.trace().len(), sim.current_slot());
-        // Both drain variants stop at the same slot for the same seed.
-        let adv = CompositeAdversary::new(BatchArrival::new(3, 1), NoJamming);
-        let mut plain = Simulator::new(SimConfig::with_seed(7), always(), adv);
-        assert_eq!(plain.run_until_drained(100_000), StopReason::Drained);
-        assert_eq!(plain.current_slot(), sim.current_slot());
     }
 
     #[test]

@@ -40,8 +40,9 @@
 //! adaptive adversaries, richer channels, the dynamic cjz protocols — run
 //! per-seed on the exact engine instead; requesting
 //! [`Execution::BitParallel`](crate::config::Execution) is always safe.
-//! The dispatch lives in the scenario/campaign runners (`contention-bench`),
-//! which hand seed blocks of [`LANES`] to this engine when eligible.
+//! The dispatch lives in `contention-bench`'s `ScenarioRunner::run_task`,
+//! which every replication front end shares and which hands seed blocks
+//! of [`LANES`] to this engine when eligible.
 
 use rand::rngs::SmallRng;
 use rand::RngCore;
@@ -404,9 +405,10 @@ impl<A: Adversary> LaneState<A> {
 ///
 /// Construct with one master seed and one adversary instance per lane,
 /// run with [`run_for`](Self::run_for) /
-/// [`run_until_drained`](Self::run_until_drained) (or their streaming
-/// `_with` variants), then harvest per-lane [`Trace`]s via
-/// [`into_traces`](Self::into_traces).
+/// [`run_until_drained`](Self::run_until_drained), then harvest per-lane
+/// [`Trace`]s via [`into_traces`](Self::into_traces). Each lane's trace
+/// stores per-slot records in full record mode and always keeps its
+/// [`totals`](Trace::totals).
 ///
 /// # Examples
 ///
@@ -596,12 +598,11 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
         self.lanes[j].order.push(idx as u32);
     }
 
-    /// Execute one slot for every running lane. `store` selects per-slot
-    /// trace storage (`push_slot`) over aggregate folding (`note_slot`);
-    /// streamed runs always fold and hand each lane's record to
-    /// `observe(lane, slot, &record)`.
-    fn advance<O: FnMut(usize, u64, &SlotRecord)>(&mut self, store: bool, observe: &mut O) {
+    /// Execute one slot for every running lane, storing each lane's record
+    /// in full record mode and folding it into the lane's totals always.
+    fn advance(&mut self) {
         let slot = self.current_slot + 1;
+        let store = self.config.record_slots;
         let running = self.running;
 
         // Phase 1: adversary decisions and injections, per running lane.
@@ -732,7 +733,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
             } else {
                 lane.trace.note_slot(&record);
             }
-            observe(j, slot, &record);
         }
 
         // Phase 4: success fan-out, masked to the lanes that heard one.
@@ -785,22 +785,8 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
     /// Run every lane for exactly `slots` more slots (no drain check),
     /// matching per lane the scalar [`run_for`](crate::engine::Simulator::run_for).
     pub fn run_for(&mut self, slots: u64) {
-        let store = self.config.record_slots;
-        let mut noop = |_: usize, _: u64, _: &SlotRecord| {};
         for _ in 0..slots {
-            self.advance(store, &mut noop);
-        }
-    }
-
-    /// Run every lane for `slots` more slots, streaming each lane's
-    /// per-slot record to `observe(lane, slot, &record)` instead of
-    /// storing it — the lane counterpart of the scalar
-    /// [`run_for_with`](crate::engine::Simulator::run_for_with), with the
-    /// same memory contract (aggregate totals and departures still
-    /// recorded).
-    pub fn run_for_with<O: FnMut(usize, u64, &SlotRecord)>(&mut self, slots: u64, mut observe: O) {
-        for _ in 0..slots {
-            self.advance(false, &mut observe);
+            self.advance();
         }
     }
 
@@ -810,33 +796,12 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
     /// keep stepping — per lane this matches the scalar
     /// [`run_until_drained`](crate::engine::Simulator::run_until_drained).
     pub fn run_until_drained(&mut self, max_slots: u64) {
-        let store = self.config.record_slots;
-        let mut noop = |_: usize, _: u64, _: &SlotRecord| {};
         for _ in 0..max_slots {
             self.freeze_drained();
             if self.running == 0 {
                 return;
             }
-            self.advance(store, &mut noop);
-        }
-        self.freeze_drained();
-    }
-
-    /// Streaming variant of [`run_until_drained`](Self::run_until_drained):
-    /// per-slot records go to `observe(lane, slot, &record)` and are never
-    /// stored, the lane counterpart of the scalar
-    /// [`run_until_drained_with`](crate::engine::Simulator::run_until_drained_with).
-    pub fn run_until_drained_with<O: FnMut(usize, u64, &SlotRecord)>(
-        &mut self,
-        max_slots: u64,
-        mut observe: O,
-    ) {
-        for _ in 0..max_slots {
-            self.freeze_drained();
-            if self.running == 0 {
-                return;
-            }
-            self.advance(false, &mut observe);
+            self.advance();
         }
         self.freeze_drained();
     }
@@ -1082,27 +1047,29 @@ mod tests {
     }
 
     #[test]
-    fn run_for_matches_scalar_and_streams() {
+    fn run_for_matches_scalar_records() {
         let seeds = [11u64, 22, 33];
         let config = SimConfig::with_seed(0).with_execution(Execution::BitParallel);
-        let mk_adv = || CompositeAdversary::new(BatchArrival::at_start(2), NoJamming);
+        let mk_adv =
+            || CompositeAdversary::new(BatchArrival::at_start(2), FrontLoadedJamming::new(7));
         let factory = |_: NodeId| -> Box<dyn Protocol> { Box::new(NeverBroadcast) };
         let adversaries = vec![mk_adv(), mk_adv(), mk_adv()];
         let mut sim = LaneSimulator::new(config, &seeds, factory, adversaries);
-        let mut streamed = vec![0u64; seeds.len()];
-        sim.run_for_with(40, |lane, _slot, rec| {
-            streamed[lane] += rec.population;
-        });
+        sim.run_for(40);
         assert_eq!(sim.current_slot(), 40);
         for (j, &seed) in seeds.iter().enumerate() {
             assert_eq!(sim.lane_slots(j), 40);
             assert!(!sim.lane_drained(j));
             let mut scalar = Simulator::new(SimConfig::with_seed(seed), factory, mk_adv());
-            let mut expect = 0u64;
-            scalar.run_for_with(40, |_, rec| expect += rec.population);
-            assert_eq!(streamed[j], expect, "lane {j} streamed populations");
-            // Streaming never stores per-slot records.
-            assert_eq!(sim.lane_trace(j).recorded_len(), 0);
+            scalar.run_for(40);
+            let lane = sim.lane_trace(j);
+            assert_eq!(
+                lane.recorded_len(),
+                sim.lane_slots(j),
+                "lane {j} record count"
+            );
+            assert_eq!(lane.slots(), scalar.trace().slots(), "lane {j} records");
+            assert_eq!(lane.totals(), scalar.trace().totals(), "lane {j} totals");
         }
     }
 

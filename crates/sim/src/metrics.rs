@@ -4,9 +4,13 @@
 //! the true outcome, which nodes cannot see) plus one [`DepartureRecord`] per
 //! delivered message. [`Trace`] exposes the cumulative quantities the paper's
 //! definitions are built on: arrivals `n_t`, jammed slots `d_t`, active slots
-//! `a_t`, and successes.
+//! `a_t`, and successes. Its totals live in one
+//! [`StreamingStats`], fed by every slot the engine folds in whether or not
+//! the slot's record is stored, so aggregate-only runs report the same
+//! totals as full-record ones.
 
 use crate::node::NodeId;
+use crate::observer::StreamingStats;
 use crate::slot::SlotOutcome;
 
 /// Everything that happened in one slot (privileged engine view).
@@ -113,16 +117,9 @@ pub struct Trace {
     slots: Vec<SlotRecord>,
     departures: Vec<DepartureRecord>,
     survivors: Vec<SurvivorRecord>,
-    // Aggregate totals, maintained even when per-slot records are disabled
-    // (SimConfig::without_slot_records).
-    agg_slots: u64,
-    agg_arrivals: u64,
-    agg_jammed: u64,
-    agg_active: u64,
-    // Successes delivered before this trace started recording (non-zero
-    // only for traces of simulators resumed from a checkpoint, whose
-    // departure records cover the continuation alone).
-    prior_successes: u64,
+    // Every slot folded so far, recorded or not (for a trace resumed from
+    // a checkpoint, including the slots before the snapshot).
+    totals: StreamingStats,
 }
 
 impl Trace {
@@ -131,21 +128,11 @@ impl Trace {
         Self::default()
     }
 
-    /// A trace resumed from checkpointed aggregates: totals carry on from
+    /// A trace resumed from checkpointed totals: the totals carry on from
     /// the snapshot, per-slot/departure records cover the continuation.
-    pub(crate) fn resumed(
-        agg_slots: u64,
-        agg_arrivals: u64,
-        agg_jammed: u64,
-        agg_active: u64,
-        prior_successes: u64,
-    ) -> Self {
+    pub(crate) fn resumed(totals: StreamingStats) -> Self {
         Trace {
-            agg_slots,
-            agg_arrivals,
-            agg_jammed,
-            agg_active,
-            prior_successes,
+            totals,
             ..Trace::default()
         }
     }
@@ -155,21 +142,15 @@ impl Trace {
         self.slots.push(rec);
     }
 
-    /// Fold a slot into the aggregate totals without storing it.
+    /// Fold a slot into the totals without storing it.
     pub(crate) fn note_slot(&mut self, rec: &SlotRecord) {
-        self.agg_slots += 1;
-        self.agg_arrivals += u64::from(rec.arrivals);
-        self.agg_jammed += u64::from(rec.jammed);
-        self.agg_active += u64::from(rec.active);
+        self.totals.record(rec);
     }
 
-    /// Fold `count` identical slots into the aggregates without storing
-    /// them (sparse-engine bulk path).
+    /// Fold `count` identical slots into the totals without storing them
+    /// (sparse-engine bulk path).
     pub(crate) fn note_span(&mut self, rec: &SlotRecord, count: u64) {
-        self.agg_slots += count;
-        self.agg_arrivals += u64::from(rec.arrivals) * count;
-        self.agg_jammed += u64::from(rec.jammed) * count;
-        self.agg_active += u64::from(rec.active) * count;
+        self.totals.record_span(rec, count);
     }
 
     /// Store `count` copies of one slot record (sparse-engine bulk path
@@ -190,7 +171,7 @@ impl Trace {
     /// Number of slots folded into the trace (recorded or aggregate-only).
     #[inline]
     pub fn len(&self) -> u64 {
-        self.agg_slots
+        self.totals.slots()
     }
 
     /// Number of slots with stored per-slot records (equals [`len`](Self::len)
@@ -203,7 +184,7 @@ impl Trace {
     /// `true` if no slot has been folded in.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.agg_slots == 0
+        self.len() == 0
     }
 
     /// The record of slot `t` (1-based).
@@ -229,25 +210,33 @@ impl Trace {
         &self.survivors
     }
 
+    /// Every slot folded into the trace, tallied: the Definition 1.1
+    /// counts, outcome tallies, peak population and the dyadic checkpoint
+    /// curve. Maintained in every record mode; for a simulator resumed
+    /// from a checkpoint it covers the slots before the snapshot too.
+    pub fn totals(&self) -> &StreamingStats {
+        &self.totals
+    }
+
     /// Total arrivals over the whole trace.
     pub fn total_arrivals(&self) -> u64 {
-        self.agg_arrivals
+        self.totals.arrivals()
     }
 
     /// Total successes over the whole trace (including, for resumed
     /// simulators, successes delivered before the checkpoint).
     pub fn total_successes(&self) -> u64 {
-        self.prior_successes + self.departures.len() as u64
+        self.totals.successes()
     }
 
     /// Total jammed slots over the whole trace.
     pub fn total_jammed(&self) -> u64 {
-        self.agg_jammed
+        self.totals.jammed()
     }
 
     /// Total active slots over the whole trace.
     pub fn total_active(&self) -> u64 {
-        self.agg_active
+        self.totals.active()
     }
 
     /// Precompute cumulative statistics for O(1) prefix queries.

@@ -1,12 +1,15 @@
-//! Streaming observers: memory-bounded metrics for very long runs.
+//! Streaming totals: the Definition 1.1 quantities folded in O(1) space.
 //!
-//! [`crate::metrics::Trace`] stores one record per slot, which is perfect
-//! for verification but costs memory linear in the horizon. For multi-
-//! billion-slot endurance runs, [`StreamingStats`] folds the same
-//! quantities online in O(1) space, plus dyadic checkpoint snapshots for
-//! growth-curve extraction.
+//! [`StreamingStats`] is the one accumulator of per-slot counts in the
+//! engine: every [`crate::metrics::Trace`] keeps its totals in one (read
+//! them through [`Trace::totals`](crate::metrics::Trace::totals)), fed
+//! slot by slot by the scalar and lane engines and span by span by the
+//! sparse engine's bulk path. Memory is O(1) in the horizon apart from
+//! the dyadic checkpoint snapshots behind growth curves, so multi-billion
+//! slot runs need no per-slot storage.
 
 use crate::metrics::SlotRecord;
+use crate::slot::SlotOutcome;
 
 /// Online accumulator of the Definition 1.1 quantities.
 ///
@@ -18,17 +21,21 @@ use crate::metrics::SlotRecord;
 /// let factory = (|_: NodeId| -> Box<dyn Protocol> { Box::new(AlwaysBroadcast) })
 ///     .named("always");
 /// let adversary = CompositeAdversary::new(BatchArrival::at_start(1), NoJamming);
-/// let mut sim = Simulator::new(SimConfig::with_seed(9), factory, adversary);
+/// let mut sim = Simulator::new(
+///     SimConfig::with_seed(9).without_slot_records(),
+///     factory,
+///     adversary,
+/// );
 ///
-/// // Fold slots online instead of storing them: O(1) memory at any horizon.
-/// let mut stats = StreamingStats::new();
-/// sim.run_for_with(8, |_, rec| stats.record(rec));
+/// // The trace folds every slot online: O(1) memory at any horizon.
+/// sim.run_for(8);
+/// let stats = sim.trace().totals();
 /// assert_eq!(stats.slots(), 8);
 /// assert_eq!(stats.successes(), 1);
 /// // Dyadic snapshots back growth curves without a stored trace.
 /// assert_eq!(stats.checkpoints().len(), 4); // t = 1, 2, 4, 8
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamingStats {
     slots: u64,
     arrivals: u64,
@@ -39,48 +46,70 @@ pub struct StreamingStats {
     silence: u64,
     collisions: u64,
     max_population: u64,
-    /// `(t, arrivals, jammed, active, successes)` at dyadic t.
+    /// `(t, arrivals, jammed, active, successes)` at dyadic t: taken
+    /// whenever the slot count reaches a power of two.
     checkpoints: Vec<(u64, u64, u64, u64, u64)>,
-    next_checkpoint: u64,
 }
 
 impl StreamingStats {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        StreamingStats {
-            next_checkpoint: 1,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Fold one slot record.
+    #[inline]
     pub fn record(&mut self, rec: &SlotRecord) {
-        self.slots += 1;
-        self.arrivals += u64::from(rec.arrivals);
-        self.jammed += u64::from(rec.jammed);
-        self.active += u64::from(rec.active);
-        self.successes += u64::from(rec.is_success());
-        self.broadcasts += u64::from(rec.broadcasters);
+        self.add(rec, 1);
+        if self.slots.is_power_of_two() {
+            self.take_checkpoint();
+        }
+    }
+
+    /// Fold `count` copies of one slot record: the same totals and
+    /// checkpoints as `count` calls of [`record`](Self::record), in time
+    /// logarithmic in `count` (one step per dyadic checkpoint crossed).
+    pub fn record_span(&mut self, rec: &SlotRecord, mut count: u64) {
+        while count > 0 {
+            let step = count.min((self.slots + 1).next_power_of_two() - self.slots);
+            self.add(rec, step);
+            count -= step;
+            if self.slots.is_power_of_two() {
+                self.take_checkpoint();
+            }
+        }
+    }
+
+    /// Add `k ≥ 1` copies of `rec` to the counters (checkpoints aside).
+    #[inline]
+    fn add(&mut self, rec: &SlotRecord, k: u64) {
+        self.slots += k;
+        self.arrivals += u64::from(rec.arrivals) * k;
+        self.jammed += u64::from(rec.jammed) * k;
+        self.active += u64::from(rec.active) * k;
+        self.successes += u64::from(rec.is_success()) * k;
+        self.broadcasts += u64::from(rec.broadcasters) * k;
         // Ground-truth outcome tallies (privileged view): the jammed count
         // above tracks adversary *decisions*; these classify what actually
         // happened on the channel, so cross-model campaigns can report
         // collision rates without record mode.
         match rec.outcome {
-            crate::slot::SlotOutcome::Silence => self.silence += 1,
-            crate::slot::SlotOutcome::Collision { .. } => self.collisions += 1,
-            crate::slot::SlotOutcome::Delivered(_) | crate::slot::SlotOutcome::Jammed { .. } => {}
+            SlotOutcome::Silence => self.silence += k,
+            SlotOutcome::Collision { .. } => self.collisions += k,
+            SlotOutcome::Delivered(_) | SlotOutcome::Jammed { .. } => {}
         }
         self.max_population = self.max_population.max(rec.population);
-        if self.slots == self.next_checkpoint {
-            self.checkpoints.push((
-                self.slots,
-                self.arrivals,
-                self.jammed,
-                self.active,
-                self.successes,
-            ));
-            self.next_checkpoint = self.next_checkpoint.saturating_mul(2);
-        }
+    }
+
+    #[cold]
+    fn take_checkpoint(&mut self) {
+        self.checkpoints.push((
+            self.slots,
+            self.arrivals,
+            self.jammed,
+            self.active,
+            self.successes,
+        ));
     }
 
     /// Slots folded so far.
@@ -196,7 +225,7 @@ mod tests {
 
     #[test]
     fn dyadic_checkpoints() {
-        let mut s = StreamingStats::new();
+        let mut s = StreamingStats::default();
         for _ in 0..10 {
             s.record(&rec(1, false, true, SlotOutcome::Silence));
         }
@@ -232,6 +261,7 @@ mod tests {
             stream.record(&rec);
         }
         let trace = sim.into_trace();
+        assert_eq!(&stream, trace.totals());
         assert_eq!(stream.arrivals(), trace.total_arrivals());
         assert_eq!(stream.jammed(), trace.total_jammed());
         assert_eq!(stream.active(), trace.total_active());

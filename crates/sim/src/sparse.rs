@@ -278,7 +278,7 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
     /// on drain when `drain` is set). `store` mirrors the exact engine's
     /// record policy (per-slot records iff full record mode); an
     /// `observe` callback, when present, receives every slot's record by
-    /// reference and disables storing, exactly like the `*_with` APIs.
+    /// reference and disables storing, exactly like `run_for_with`.
     pub(crate) fn run_sparse(
         &mut self,
         max_slots: u64,

@@ -29,7 +29,8 @@ fn million_slot_run_is_memory_bounded_and_consistent() {
         .history_retention(4096);
     let runner = ScenarioRunner::new(spec);
 
-    // Stream the run manually to fold StreamingStats alongside the trace.
+    // Step the run manually, folding a StreamingStats of our own to check
+    // the trace's totals against.
     let (stream, alive, trace) = runner
         .collect_sim(&algo, |_seed, mut sim| {
             let mut stream = StreamingStats::new();
@@ -52,6 +53,7 @@ fn million_slot_run_is_memory_bounded_and_consistent() {
     assert_eq!(stream.jammed(), trace.total_jammed());
     assert_eq!(stream.successes(), trace.total_successes());
     assert_eq!(stream.active(), trace.total_active());
+    assert_eq!(&stream, trace.totals(), "tallies and checkpoints agree too");
 
     // Conservation and sanity at scale.
     assert_eq!(trace.total_arrivals(), trace.total_successes() + alive);

@@ -336,31 +336,31 @@ fn lane_registry_families_are_eligible() {
     assert_eq!(exact, lanes);
 }
 
-/// Observer streaming on the lane path: `run_seed_block`'s streamed
-/// slots must match scalar `run_for_with` streams lane for lane.
+/// Full-record lane traces on a partial block: each lane stores exactly
+/// the scalar engine's records for its seed, one per slot it ran.
 #[test]
-fn lane_streaming_matches_scalar_observers() {
-    let spec = ScenarioSpec::new("lane-eq/stream")
+fn lane_records_match_scalar_records() {
+    let spec = ScenarioSpec::new("lane-eq/records")
         .algo(AlgoSpec::Baseline(BaselineSpec::SmoothedBeb))
         .arrivals(ArrivalSpec::batch(6))
         .fixed_horizon(600)
-        .aggregate_only()
         .execution(Execution::BitParallel);
     let algo = spec.algos[0].clone();
     let runner = ScenarioRunner::new(spec.clone());
     let n = 5u64; // deliberately partial block
     let mut sim = runner.lane_sim(&algo, 10, n);
-    let mut streamed: Vec<Vec<(u64, u32, u64)>> = vec![Vec::new(); n as usize];
-    sim.run_for_with(600, |j, slot, rec| {
-        streamed[j].push((slot, rec.broadcasters, rec.population));
-    });
-    for (j, lane) in streamed.iter().enumerate() {
+    sim.run_for(600);
+    let lane_slots: Vec<u64> = (0..n as usize).map(|j| sim.lane_slots(j)).collect();
+    for (j, lane) in sim.into_traces().iter().enumerate() {
         let seed = 10 + j as u64;
         let mut scalar = runner.sim(&algo, seed);
-        let mut reference = Vec::new();
-        scalar.run_for_with(600, |slot, rec| {
-            reference.push((slot, rec.broadcasters, rec.population));
-        });
-        assert_eq!(lane, &reference, "lane {j} (seed {seed}) stream diverged");
+        scalar.run_for(600);
+        assert_eq!(lane.recorded_len(), lane_slots[j], "lane {j} record count");
+        assert_eq!(
+            lane.slots(),
+            scalar.trace().slots(),
+            "lane {j} (seed {seed}) records diverged"
+        );
+        assert_eq!(lane.totals(), scalar.trace().totals(), "lane {j} totals");
     }
 }

@@ -23,6 +23,30 @@ fn algo_spec(which: u8) -> AlgoSpec {
     }
 }
 
+/// A slot record decoded from `code`: outcome kind, arrivals, jam flag
+/// and population all vary with it.
+fn coded_record(code: u32) -> SlotRecord {
+    let outcome = match code % 4 {
+        0 => SlotOutcome::Silence,
+        1 => SlotOutcome::Delivered(NodeId::new(0)),
+        2 => SlotOutcome::Collision {
+            broadcasters: 2 + code / 4 % 3,
+        },
+        _ => SlotOutcome::Jammed {
+            broadcasters: code / 4 % 3,
+        },
+    };
+    let population = u64::from(code / 12 % 7);
+    SlotRecord {
+        arrivals: code / 84 % 3,
+        broadcasters: outcome.broadcasters(),
+        jammed: matches!(outcome, SlotOutcome::Jammed { .. }),
+        active: population > 0,
+        population,
+        outcome,
+    }
+}
+
 fn jammed_batch(algo: &AlgoSpec, n: u32, jam: f64, horizon: u64) -> ScenarioSpec {
     ScenarioSpec::batch(n, jam)
         .algos([algo.clone()])
@@ -244,9 +268,37 @@ proptest! {
         }
     }
 
+    /// The sparse engine's span fold is indistinguishable from folding the
+    /// span slot by slot, from any prefix: totals, outcome tallies, peak
+    /// population and the dyadic checkpoint curve alike. Spans of up to
+    /// 4095 slots after prefixes of up to 299 cross several checkpoints;
+    /// an empty span is a no-op.
+    #[test]
+    fn record_span_matches_repeated_records(
+        prefix in prop::collection::vec(0u32..252, 0..300),
+        code in 0u32..252,
+        k in 0u64..4_096,
+    ) {
+        let mut span = StreamingStats::new();
+        for &c in &prefix {
+            span.record(&coded_record(c));
+        }
+        let mut slow = span.clone();
+        let rec = coded_record(code);
+        span.record_span(&rec, 0);
+        prop_assert_eq!(&span, &slow, "an empty span must change nothing");
+        span.record_span(&rec, k);
+        for _ in 0..k {
+            slow.record(&rec);
+        }
+        prop_assert_eq!(span, slow);
+    }
+
     /// During a drain run the active lane set only shrinks: every lane
-    /// reports slot 1, a frozen lane never reports again, and each lane's
-    /// last reported slot is exactly its drain slot.
+    /// runs slot 1, each lane stores exactly the scalar engine's records
+    /// for its seed (so a lane frozen at its drain slot never steps
+    /// again), one per slot it ran, and a lane that never drained ran to
+    /// the cap.
     #[test]
     fn lane_active_set_monotone(n in 2u32..16, lanes in 2u64..33, base in 0u64..5_000) {
         let algo = AlgoSpec::Baseline(BaselineSpec::SmoothedBeb);
@@ -259,32 +311,18 @@ proptest! {
         let runner = ScenarioRunner::new(spec);
         prop_assert_eq!(runner.lane_block(&algo), 64);
         let mut sim = runner.lane_sim(&algo, base, lanes);
-        let mut masks: Vec<u64> = Vec::new();
-        sim.run_until_drained_with(30_000, |j, slot, _rec| {
-            let k = slot as usize - 1;
-            if masks.len() <= k {
-                masks.resize(k + 1, 0);
-            }
-            masks[k] |= 1 << j;
-        });
-        prop_assert!(!masks.is_empty());
-        prop_assert_eq!(masks[0], (1u64 << lanes) - 1, "every lane reports slot 1");
-        for w in masks.windows(2) {
-            prop_assert_eq!(
-                w[1] & !w[0], 0,
-                "frozen lane reappeared: {:#x} -> {:#x}", w[0], w[1]
-            );
-        }
-        for j in 0..lanes as usize {
-            let last = masks
-                .iter()
-                .rposition(|m| m >> j & 1 == 1)
-                .expect("lane reported at least slot 1");
-            prop_assert_eq!(sim.lane_slots(j), last as u64 + 1, "lane {} trace length", j);
-            if !sim.lane_drained(j) {
-                // A lane that never drained must have run to the cap —
-                // only drained lanes may vanish from the active set.
-                prop_assert_eq!(last + 1, masks.len(), "live lane {} vanished early", j);
+        sim.run_until_drained(30_000);
+        let lane_slots: Vec<u64> = (0..lanes as usize).map(|j| sim.lane_slots(j)).collect();
+        let drained: Vec<bool> = (0..lanes as usize).map(|j| sim.lane_drained(j)).collect();
+        for (j, trace) in sim.into_traces().iter().enumerate() {
+            let mut scalar = runner.sim(&algo, base + j as u64);
+            scalar.run_until_drained(30_000);
+            prop_assert!(lane_slots[j] >= 1, "lane {} never ran slot 1", j);
+            prop_assert_eq!(trace.recorded_len(), lane_slots[j], "lane {} record count", j);
+            prop_assert_eq!(trace.slots(), scalar.trace().slots(), "lane {} records", j);
+            if !drained[j] {
+                // Only drained lanes may leave the active set early.
+                prop_assert_eq!(lane_slots[j], 30_000, "live lane {} stopped early", j);
             }
         }
     }
