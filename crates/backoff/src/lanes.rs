@@ -24,32 +24,23 @@ pub trait LaneDraws {
     /// One raw draw from lane `lane`'s stream (the scalar `next_u64`).
     fn draw(&mut self, lane: usize) -> u64;
 
-    /// One raw draw from every lane in `need`, written to `out[l]`.
-    /// Entries outside `need` are unspecified. The default loops over
-    /// [`draw`](Self::draw); implementations with structure-of-arrays
-    /// state override it with a vectorizable whole-word step.
-    fn draw_block(&mut self, need: u64, out: &mut [u64; 64]) {
+    /// Draw once from every lane in `need` and resolve the draws against
+    /// one shared Bernoulli threshold, returning the mask of lanes whose
+    /// draw clears it (lane `l` sends iff `(draw >> 11) < thr`, the
+    /// scalar convention — see [`threshold_send_mask`]). The default
+    /// loops over [`draw`](Self::draw); implementations with
+    /// structure-of-arrays state override it with a vectorizable
+    /// whole-word step. `thr` must be an actual-draw threshold (neither 0
+    /// nor certain): callers resolve those without drawing.
+    fn draw_mask(&mut self, need: u64, thr: u64) -> u64 {
+        let mut send = 0u64;
         let mut m = need;
         while m != 0 {
             let l = m.trailing_zeros() as usize;
             m &= m - 1;
-            out[l] = self.draw(l);
+            send |= u64::from((self.draw(l) >> 11) < thr) << l;
         }
-    }
-
-    /// Draw once from every lane in `need` and resolve the draws against
-    /// one shared Bernoulli threshold in a single pass, returning the
-    /// mask of lanes whose draw clears it (lane `l` sends iff
-    /// `(draw >> 11) < thr`, the scalar convention — see
-    /// [`threshold_send_mask`]). Equivalent to
-    /// [`draw_block`](Self::draw_block) followed by the compare, but lets
-    /// implementations fuse the two so the draws never round-trip
-    /// through a buffer. `thr` must be an actual-draw threshold
-    /// (neither 0 nor certain): callers resolve those without drawing.
-    fn draw_mask(&mut self, need: u64, thr: u64) -> u64 {
-        let mut out = [0u64; 64];
-        self.draw_block(need, &mut out);
-        threshold_send_mask(thr, need, &out)
+        send
     }
 }
 

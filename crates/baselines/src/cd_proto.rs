@@ -29,7 +29,7 @@
 
 use contention_backoff::{CollisionWindow, MimdProbability};
 use contention_sim::{Action, Feedback, Protocol};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Did this slot's feedback report a *failure the node can learn from*?
 ///
@@ -83,16 +83,7 @@ impl Protocol for CdBackoffProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        self.sent_last = self.window.next(rng);
-        if self.sent_last {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         self.sent_last = self.window.next(rng);
         if self.sent_last {
             Action::Broadcast
@@ -147,7 +138,7 @@ impl Protocol for CdAlohaProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         self.sent_last = self.prob.decide(rng);
         if self.sent_last {
             Action::Broadcast
@@ -169,7 +160,6 @@ impl Protocol for CdAlohaProtocol {
 mod tests {
     use super::*;
     use contention_sim::NodeId;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {

@@ -8,7 +8,7 @@
 
 use contention_backoff::{FFunction, GFunction, HBackoff};
 use contention_sim::{Action, Feedback, Protocol};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 use std::fmt;
 
@@ -67,15 +67,7 @@ impl Protocol for FBackoffProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.backoff.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.backoff.next(rng) {
             Action::Broadcast
         } else {
@@ -101,7 +93,6 @@ impl fmt::Debug for FBackoffProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

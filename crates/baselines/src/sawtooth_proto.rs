@@ -2,7 +2,7 @@
 
 use contention_backoff::Sawtooth;
 use contention_sim::{Action, Feedback, Protocol};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Sawtooth backoff as a protocol: fixed rising-probability sweeps per
 /// epoch, oblivious to feedback.
@@ -32,15 +32,7 @@ impl Protocol for SawtoothProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.saw.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.saw.next(rng) {
             Action::Broadcast
         } else {
@@ -58,7 +50,6 @@ impl Protocol for SawtoothProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

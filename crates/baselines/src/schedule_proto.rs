@@ -13,7 +13,7 @@
 use contention_backoff::{HBatch, LaneBatch, LaneDraws, Schedule};
 use contention_sim::lanes::LaneRngs;
 use contention_sim::{Action, Feedback, Protocol};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// [`LaneDraws`] adapter over the simulator's per-lane RNG bank. Lives
 /// here because `contention-backoff` and `contention-sim` are independent
@@ -25,11 +25,6 @@ impl LaneDraws for LaneDrawSource<'_> {
     #[inline]
     fn draw(&mut self, lane: usize) -> u64 {
         self.0.step_lane(lane)
-    }
-
-    #[inline]
-    fn draw_block(&mut self, need: u64, out: &mut [u64; 64]) {
-        self.0.draw_block(need, out);
     }
 
     #[inline]
@@ -101,15 +96,7 @@ impl Protocol for ScheduleProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.batch.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.batch.next(rng) {
             Action::Broadcast
         } else {
@@ -133,7 +120,7 @@ impl Protocol for ScheduleProtocol {
         true
     }
 
-    fn next_send_within(&mut self, within: u64, rng: &mut rand::rngs::SmallRng) -> Option<u64> {
+    fn next_send_within(&mut self, within: u64, rng: &mut SmallRng) -> Option<u64> {
         self.batch.next_send_within(within, rng)
     }
 
@@ -141,7 +128,7 @@ impl Protocol for ScheduleProtocol {
         true
     }
 
-    fn act_lanes(&mut self, _local_slot: u64, rngs: &mut LaneRngs, active: u64) -> u64 {
+    fn act_lanes(&mut self, rngs: &mut LaneRngs, active: u64) -> u64 {
         step_lanes(&mut self.lanes, &self.batch, rngs, active)
     }
 }
@@ -189,15 +176,7 @@ impl Protocol for ResetOnSuccess {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.batch.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.batch.next(rng) {
             Action::Broadcast
         } else {
@@ -228,7 +207,7 @@ impl Protocol for ResetOnSuccess {
         true
     }
 
-    fn next_send_within(&mut self, within: u64, rng: &mut rand::rngs::SmallRng) -> Option<u64> {
+    fn next_send_within(&mut self, within: u64, rng: &mut SmallRng) -> Option<u64> {
         self.batch.next_send_within(within, rng)
     }
 
@@ -236,7 +215,7 @@ impl Protocol for ResetOnSuccess {
         true
     }
 
-    fn act_lanes(&mut self, _local_slot: u64, rngs: &mut LaneRngs, active: u64) -> u64 {
+    fn act_lanes(&mut self, rngs: &mut LaneRngs, active: u64) -> u64 {
         step_lanes(&mut self.lanes, &self.batch, rngs, active)
     }
 
@@ -252,7 +231,6 @@ impl Protocol for ResetOnSuccess {
 mod tests {
     use super::*;
     use contention_sim::NodeId;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {

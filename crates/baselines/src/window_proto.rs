@@ -2,7 +2,7 @@
 
 use contention_backoff::{WindowBackoff, WindowGrowth};
 use contention_sim::{Action, Feedback, Protocol};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Classical windowed backoff as a protocol: one transmission per window,
 /// windows growing per the policy, oblivious to feedback (a node leaves on
@@ -57,15 +57,7 @@ impl Protocol for WindowProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.backoff.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.backoff.next(rng) {
             Action::Broadcast
         } else {
@@ -87,7 +79,7 @@ impl Protocol for WindowProtocol {
         true
     }
 
-    fn next_send_within(&mut self, within: u64, rng: &mut rand::rngs::SmallRng) -> Option<u64> {
+    fn next_send_within(&mut self, within: u64, rng: &mut SmallRng) -> Option<u64> {
         self.backoff.next_send_within(within, rng)
     }
 }
@@ -131,15 +123,7 @@ impl Protocol for ResettingWindowProtocol {
         Some(Box::new(self.clone()))
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        if self.backoff.next(rng) {
-            Action::Broadcast
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn act_fast(&mut self, _local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> Action {
         if self.backoff.next(rng) {
             Action::Broadcast
         } else {
@@ -170,7 +154,7 @@ impl Protocol for ResettingWindowProtocol {
         true
     }
 
-    fn next_send_within(&mut self, within: u64, rng: &mut rand::rngs::SmallRng) -> Option<u64> {
+    fn next_send_within(&mut self, within: u64, rng: &mut SmallRng) -> Option<u64> {
         self.backoff.next_send_within(within, rng)
     }
 }
@@ -179,7 +163,6 @@ impl Protocol for ResettingWindowProtocol {
 mod tests {
     use super::*;
     use contention_sim::NodeId;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {

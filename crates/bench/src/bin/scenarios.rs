@@ -95,6 +95,11 @@ fn main() {
             eprintln!("bad --window `{window}` (expected LO..HI, e.g. 60000..60016)");
             std::process::exit(2);
         };
+        // Refuse a malformed window before any capture pass runs.
+        if let Err(e) = WindowReplayer::validate(&spec, lo, hi) {
+            eprintln!("bad --window `{window}`: {e}");
+            std::process::exit(2);
+        }
         if spec.checkpoint.is_none() {
             spec = spec.checkpoint_every(DEFAULT_CHUNK);
         }

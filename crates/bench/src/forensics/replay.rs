@@ -5,9 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use contention_sim::{Simulator, SlotRecord, Snapshot, SnapshotError};
 
-use crate::scenario::{
-    replicate, AlgoSpec, ScenarioRunner, ScenarioSpec, DEFAULT_RECORD_CAP_BYTES,
-};
+use crate::scenario::{replicate, AlgoSpec, ScenarioRunner, ScenarioSpec, RECORD_CAP_BYTES};
 
 use super::cache::WindowCache;
 use super::{window_fingerprint, DEFAULT_CACHE_BYTES, DEFAULT_CHUNK};
@@ -40,7 +38,7 @@ pub enum ReplayError {
         cap: u64,
     },
     /// The window's records would exceed the memory cap full-record runs
-    /// have ([`DEFAULT_RECORD_CAP_BYTES`]); request narrower windows.
+    /// have ([`RECORD_CAP_BYTES`]); request narrower windows.
     TooLarge {
         /// Requested window length in slots.
         slots: u64,
@@ -262,21 +260,27 @@ impl WindowReplayer {
         &self.cache
     }
 
-    fn validate(&self, lo: u64, hi: u64) -> Result<(), ReplayError> {
+    /// Whether `[lo, hi)` is a window of `spec` that can be replayed:
+    /// refuses reversed or empty windows, windows past the horizon cap,
+    /// and windows whose records would pass [`RECORD_CAP_BYTES`]. Needs
+    /// nothing but the spec, so front ends call it before the capture
+    /// pass; [`window`](Self::window) and [`windows`](Self::windows)
+    /// call it too.
+    pub fn validate(spec: &ScenarioSpec, lo: u64, hi: u64) -> Result<(), ReplayError> {
         if lo == 0 || lo >= hi {
             return Err(ReplayError::BadWindow { lo, hi });
         }
-        let cap = self.runner.spec().horizon.cap();
+        let cap = spec.horizon.cap();
         if hi > cap + 1 {
             return Err(ReplayError::OutOfRange { hi, cap });
         }
         // Checked before `replay_window` reserves the records.
         let slots = hi - lo;
         let record = std::mem::size_of::<SlotRecord>() as u64;
-        if slots.saturating_mul(record) > DEFAULT_RECORD_CAP_BYTES {
+        if slots.saturating_mul(record) > RECORD_CAP_BYTES {
             return Err(ReplayError::TooLarge {
                 slots,
-                cap: DEFAULT_RECORD_CAP_BYTES,
+                cap: RECORD_CAP_BYTES,
             });
         }
         Ok(())
@@ -300,7 +304,7 @@ impl WindowReplayer {
     /// Materialize the window `[lo, hi)` (global slots, 1-based),
     /// serving from cache when possible.
     pub fn window(&mut self, lo: u64, hi: u64) -> Result<Arc<WindowTrace>, ReplayError> {
-        self.validate(lo, hi)?;
+        Self::validate(self.runner.spec(), lo, hi)?;
         if let Some(win) = self.cache.get(lo, hi) {
             return Ok(win);
         }
@@ -328,7 +332,7 @@ impl WindowReplayer {
             requests.iter().map(|_| None).collect();
         let mut misses: Vec<(u64, u64)> = Vec::new();
         for (i, &(lo, hi)) in requests.iter().enumerate() {
-            if let Err(e) = self.validate(lo, hi) {
+            if let Err(e) = Self::validate(self.runner.spec(), lo, hi) {
                 results[i] = Some(Err(e));
             } else if let Some(win) = self.cache.get(lo, hi) {
                 results[i] = Some(Ok(win));

@@ -41,7 +41,7 @@ pub use json::{Json, SpecError};
 pub use registry::{entries, lookup, names, RegistryEntry};
 pub use runner::{
     replicate, run_batch, run_batch_light, AlgoReport, CheckpointedTrial, FootprintError,
-    ScenarioReport, ScenarioRunner, TrialOutcome, DEFAULT_RECORD_CAP_BYTES,
+    ScenarioReport, ScenarioRunner, TrialOutcome, RECORD_CAP_BYTES,
 };
 pub use spec::{
     AdversarySpec, AlgoSpec, ArrivalSpec, BaselineSpec, BudgetSpec, ChannelSpec, CheckpointPolicy,

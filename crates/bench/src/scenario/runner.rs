@@ -17,21 +17,20 @@ use contention_sim::{SimConfig, Simulator, Snapshot, SnapshotError, Trace};
 use super::registry;
 use super::spec::{AlgoSpec, HorizonSpec, RecordMode, ScenarioSpec};
 
-/// Default cap on the estimated in-memory slot-record footprint of a
-/// full-record run: 1 GiB. Runs estimated above the cap are refused with
-/// a [`FootprintError`] pointing at window replay; raise or lower it per
-/// runner with [`ScenarioRunner::record_cap_bytes`].
-pub const DEFAULT_RECORD_CAP_BYTES: u64 = 1 << 30;
+/// Cap on the estimated in-memory slot-record footprint of a full-record
+/// run: 1 GiB. Runs estimated above the cap are refused with a
+/// [`FootprintError`] pointing at window replay.
+pub const RECORD_CAP_BYTES: u64 = 1 << 30;
 
 /// A full-record run was refused because its estimated slot-record
-/// footprint exceeds the runner's cap.
+/// footprint exceeds [`RECORD_CAP_BYTES`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintError {
     /// Scenario name, for the message.
     pub name: String,
     /// Estimated bytes of stored slot records across the whole run.
     pub estimated: u64,
-    /// The configured cap.
+    /// The cap ([`RECORD_CAP_BYTES`]).
     pub cap: u64,
 }
 
@@ -41,8 +40,7 @@ impl std::fmt::Display for FootprintError {
             f,
             "scenario `{}`: a full-record run would store an estimated {} MiB of slot \
              records (cap {} MiB); run aggregate-only with a checkpoint policy and \
-             replay just the slots you need (`scenarios {} --window LO..HI`), or raise \
-             the cap with ScenarioRunner::record_cap_bytes",
+             replay just the slots you need (`scenarios {} --window LO..HI`)",
             self.name,
             self.estimated >> 20,
             self.cap >> 20,
@@ -224,16 +222,12 @@ pub struct CheckpointedTrial {
 #[derive(Debug, Clone)]
 pub struct ScenarioRunner {
     spec: ScenarioSpec,
-    record_cap: u64,
 }
 
 impl ScenarioRunner {
     /// Runner for a spec.
     pub fn new(spec: ScenarioSpec) -> Self {
-        ScenarioRunner {
-            spec,
-            record_cap: DEFAULT_RECORD_CAP_BYTES,
-        }
+        ScenarioRunner { spec }
     }
 
     /// Runner for a named registry scenario (see
@@ -250,14 +244,6 @@ impl ScenarioRunner {
     /// Recover the spec.
     pub fn into_spec(self) -> ScenarioSpec {
         self.spec
-    }
-
-    /// Override the full-record footprint cap
-    /// ([`DEFAULT_RECORD_CAP_BYTES`] by default). `u64::MAX` disables the
-    /// guard entirely.
-    pub fn record_cap_bytes(mut self, bytes: u64) -> Self {
-        self.record_cap = bytes;
-        self
     }
 
     /// Estimated bytes of slot records a full roster run would store:
@@ -279,7 +265,7 @@ impl ScenarioRunner {
     }
 
     /// The guard rail: refuse full-record runs whose estimated
-    /// slot-record footprint exceeds the configured cap. [`run`] and
+    /// slot-record footprint exceeds [`RECORD_CAP_BYTES`]. [`run`] and
     /// [`run_algo`] enforce this (panicking with the error's message);
     /// [`try_run`] surfaces it as a `Result` for CLIs.
     ///
@@ -288,11 +274,11 @@ impl ScenarioRunner {
     /// [`try_run`]: Self::try_run
     pub fn check_record_footprint(&self) -> Result<(), FootprintError> {
         let estimated = self.estimated_record_bytes();
-        if estimated > self.record_cap {
+        if estimated > RECORD_CAP_BYTES {
             return Err(FootprintError {
                 name: self.spec.name.clone(),
                 estimated,
-                cap: self.record_cap,
+                cap: RECORD_CAP_BYTES,
             });
         }
         Ok(())
@@ -758,11 +744,6 @@ mod tests {
         );
         assert_eq!(aggregate.estimated_record_bytes(), 0);
         assert!(aggregate.check_record_footprint().is_ok());
-        // Raising the cap clears the refusal.
-        assert!(runner
-            .record_cap_bytes(u64::MAX)
-            .check_record_footprint()
-            .is_ok());
     }
 
     #[test]

@@ -364,6 +364,9 @@ impl Inner {
                 spec.seeds
             )));
         }
+        // A malformed window is refused before any capture or rebuild,
+        // so it leaves no checkpoint handle behind.
+        WindowReplayer::validate(&spec, lo, hi).map_err(|e| ServiceError::new(e.to_string()))?;
         if spec.checkpoint.is_none() {
             // Sparse trajectories depend on the chunking of the original
             // run; without a policy on the spec there is no chunking to
@@ -664,6 +667,46 @@ mod tests {
         }
     }
 
+    /// Start a daemon over `dir/jobs`, submit `spec` as job `id` and wait
+    /// until it is done. Returns the server thread and a client.
+    fn finished_job(
+        dir: &std::path::Path,
+        id: &str,
+        spec: ScenarioSpec,
+    ) -> (std::thread::JoinHandle<()>, Client) {
+        let daemon = Daemon::bind(DaemonConfig {
+            jobs_dir: dir.join("jobs"),
+            threads: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = daemon.local_addr().unwrap();
+        let server = std::thread::spawn(move || daemon.run().unwrap());
+        let mut c = Client::connect(addr);
+        let resp = c.call(&Request::Submit(Box::new(SubmitRequest {
+            source: JobSource::Scenario(spec),
+            id: Some(id.into()),
+            priority: 0,
+        })));
+        assert!(matches!(resp, Response::Submitted { .. }), "{resp:?}");
+        let mut watcher = Client::connect(addr);
+        watcher
+            .writer
+            .write_all(format!("{}\n", Request::Events { id: id.into() }.to_line()).as_bytes())
+            .unwrap();
+        loop {
+            match watcher.read() {
+                Response::Event(e) if e.terminal => {
+                    assert_eq!(e.state, "done");
+                    break;
+                }
+                Response::Event(_) => {}
+                other => panic!("expected event, got {other:?}"),
+            }
+        }
+        (server, c)
+    }
+
     /// A job directory that cannot be recovered must not brick startup:
     /// it is marked failed and skipped, and healthy jobs still resume.
     #[test]
@@ -761,51 +804,12 @@ mod tests {
     fn window_queries_replay_done_jobs() {
         let dir = std::env::temp_dir().join(format!("daemon-window-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let daemon = Daemon::bind(DaemonConfig {
-            jobs_dir: dir.join("jobs"),
-            threads: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        let addr = daemon.local_addr().unwrap();
-        let server = std::thread::spawn(move || daemon.run().unwrap());
-        let mut c = Client::connect(addr);
-
         let spec = ScenarioSpec::batch(8, 0.2)
             .algos([AlgoSpec::cjz_constant_jamming()])
             .seeds(1)
             .until_drained(10_000)
             .checkpoint_every(64);
-        let resp = c.call(&Request::Submit(Box::new(SubmitRequest {
-            source: JobSource::Scenario(spec),
-            id: Some("winjob".into()),
-            priority: 0,
-        })));
-        assert!(matches!(resp, Response::Submitted { .. }), "{resp:?}");
-        let mut watcher = Client::connect(addr);
-        watcher
-            .writer
-            .write_all(
-                format!(
-                    "{}\n",
-                    Request::Events {
-                        id: "winjob".into()
-                    }
-                    .to_line()
-                )
-                .as_bytes(),
-            )
-            .unwrap();
-        loop {
-            match watcher.read() {
-                Response::Event(e) if e.terminal => {
-                    assert_eq!(e.state, "done");
-                    break;
-                }
-                Response::Event(_) => {}
-                other => panic!("expected event, got {other:?}"),
-            }
-        }
+        let (server, mut c) = finished_job(&dir, "winjob", spec);
 
         let query = Request::Window {
             id: "winjob".into(),
@@ -881,6 +885,38 @@ mod tests {
             }
             other => panic!("expected window, got {other:?}"),
         }
+        assert_eq!(c.call(&Request::Shutdown), Response::Ok);
+        server.join().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A malformed window is refused before the capture pass: a
+    /// reversed window on a finished job returns an error and leaves no
+    /// checkpoint handle behind.
+    #[test]
+    fn reversed_window_is_refused_before_capture() {
+        let dir = std::env::temp_dir().join(format!("daemon-badwin-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let spec = ScenarioSpec::batch(8, 0.2)
+            .algos([AlgoSpec::cjz_constant_jamming()])
+            .seeds(1)
+            .until_drained(10_000);
+        let (server, mut c) = finished_job(&dir, "badwin", spec);
+        let resp = c.call(&Request::Window {
+            id: "badwin".into(),
+            cell: 0,
+            algo: 0,
+            seed: 0,
+            lo: 132,
+            hi: 100,
+        });
+        match &resp {
+            Response::Error { message } => assert!(message.contains("bad window"), "{message}"),
+            other => panic!("expected error, got {other:?}"),
+        }
+        assert!(!dir
+            .join("jobs/badwin/checkpoints/cell0-algo0-seed0.json")
+            .exists());
         assert_eq!(c.call(&Request::Shutdown), Response::Ok);
         server.join().unwrap();
         let _ = fs::remove_dir_all(&dir);

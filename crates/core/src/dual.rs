@@ -18,7 +18,7 @@
 use contention_backoff::{HBackoff, HBatch};
 use contention_sim::dual::{DualProtocol, DualProtocolFactory};
 use contention_sim::{Action, Feedback, NodeId};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 use crate::params::ProtocolParams;
 use crate::phase::PhaseKind;
@@ -75,7 +75,7 @@ impl DualProtocol for DualCjzProtocol {
         "cjz-dual"
     }
 
-    fn act(&mut self, _local_slot: u64, rng: &mut dyn RngCore) -> (Action, Action) {
+    fn act(&mut self, _local_slot: u64, rng: &mut SmallRng) -> (Action, Action) {
         match &mut self.state {
             State::Sync { backoff } => {
                 let c = backoff.next(rng);
@@ -142,7 +142,6 @@ mod tests {
     use contention_sim::adversary::{BatchArrival, CompositeAdversary, NoJamming, RandomJamming};
     use contention_sim::dual::DualSimulator;
     use contention_sim::SimConfig;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

@@ -19,7 +19,7 @@
 
 use contention_backoff::{HBackoff, HBatch};
 use contention_sim::{Action, Feedback, NodeId, Parity, Protocol, ProtocolFactory};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 use crate::params::ProtocolParams;
 use crate::phase::PhaseKind;
@@ -89,8 +89,18 @@ impl OracleParityProtocol {
     fn global_slot(&self, local_slot: u64) -> u64 {
         self.arrival_slot + local_slot
     }
+}
 
-    fn act_impl<R: RngCore + ?Sized>(&mut self, local_slot: u64, rng: &mut R) -> Action {
+impl Protocol for OracleParityProtocol {
+    fn name(&self) -> &'static str {
+        "cjz-oracle"
+    }
+
+    fn try_clone_box(&self) -> Option<Box<dyn Protocol + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn act(&mut self, local_slot: u64, rng: &mut SmallRng) -> Action {
         let global = self.global_slot(local_slot);
         let on_ctrl = CTRL_PARITY.contains(global);
         let send = match &mut self.state {
@@ -108,24 +118,6 @@ impl OracleParityProtocol {
         } else {
             Action::Listen
         }
-    }
-}
-
-impl Protocol for OracleParityProtocol {
-    fn name(&self) -> &'static str {
-        "cjz-oracle"
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Protocol + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn act(&mut self, local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        self.act_impl(local_slot, rng)
-    }
-
-    fn act_fast(&mut self, local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
-        self.act_impl(local_slot, rng)
     }
 
     fn observes_failures(&self) -> bool {
@@ -201,7 +193,6 @@ impl ProtocolFactory for OracleParityFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {

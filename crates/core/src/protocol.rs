@@ -26,7 +26,7 @@
 
 use contention_backoff::{FFunction, HBackoff, HBatch, SendCount};
 use contention_sim::{Action, Feedback, NodeId, Protocol, ProtocolFactory};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 use crate::params::ProtocolParams;
 use crate::phase::{PhaseKind, PhaseStats};
@@ -140,12 +140,16 @@ impl CjzProtocol {
     }
 }
 
-impl CjzProtocol {
-    /// The act body, generic over the RNG: `act` passes `dyn RngCore`
-    /// through unchanged while `act_fast` monomorphizes over the engine's
-    /// concrete RNG (identical draw sequence, no virtual dispatch per
-    /// sample).
-    fn act_impl<R: RngCore + ?Sized>(&mut self, local_slot: u64, rng: &mut R) -> Action {
+impl Protocol for CjzProtocol {
+    fn name(&self) -> &'static str {
+        "cjz"
+    }
+
+    fn try_clone_box(&self) -> Option<Box<dyn Protocol + Send>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn act(&mut self, local_slot: u64, rng: &mut SmallRng) -> Action {
         let send = match &mut self.state {
             State::One { backoff } => {
                 // Arrival-parity channel = even local slots.
@@ -178,24 +182,6 @@ impl CjzProtocol {
         } else {
             Action::Listen
         }
-    }
-}
-
-impl Protocol for CjzProtocol {
-    fn name(&self) -> &'static str {
-        "cjz"
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Protocol + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn act(&mut self, local_slot: u64, rng: &mut dyn RngCore) -> Action {
-        self.act_impl(local_slot, rng)
-    }
-
-    fn act_fast(&mut self, local_slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
-        self.act_impl(local_slot, rng)
     }
 
     fn observes_failures(&self) -> bool {
@@ -324,7 +310,6 @@ impl ProtocolFactory for CjzFactory {
 mod tests {
     use super::*;
     use contention_sim::NodeId;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {

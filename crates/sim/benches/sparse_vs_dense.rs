@@ -13,7 +13,7 @@ use contention_sim::node::{NodeId, Protocol};
 use contention_sim::{Action, Execution, Feedback, SimConfig, Simulator};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// A self-contained static-phase protocol: constant send probability
 /// `p`, feedback ignored. Implements the skip-ahead hooks with the
@@ -28,7 +28,7 @@ impl Protocol for SparseAloha {
         "bench-aloha"
     }
 
-    fn act(&mut self, _local: u64, rng: &mut dyn RngCore) -> Action {
+    fn act(&mut self, _local: u64, rng: &mut SmallRng) -> Action {
         if rng.gen::<f64>() < self.p {
             Action::Broadcast
         } else {

@@ -15,7 +15,6 @@
 //! the *model*, not just of the algorithm.
 
 use rand::rngs::SmallRng;
-use rand::RngCore;
 
 use crate::adversary::Adversary;
 use crate::config::SimConfig;
@@ -44,7 +43,7 @@ pub trait DualProtocol {
     fn name(&self) -> &'static str;
 
     /// Actions for local slot `local_slot` on (data, ctrl).
-    fn act(&mut self, local_slot: u64, rng: &mut dyn RngCore) -> (Action, Action);
+    fn act(&mut self, local_slot: u64, rng: &mut SmallRng) -> (Action, Action);
 
     /// Feedback for both channels of local slot `local_slot`.
     fn observe(&mut self, local_slot: u64, data: Feedback, ctrl: Feedback);
@@ -286,7 +285,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "data-blaster"
         }
-        fn act(&mut self, _: u64, _: &mut dyn RngCore) -> (Action, Action) {
+        fn act(&mut self, _: u64, _: &mut SmallRng) -> (Action, Action) {
             (Action::Broadcast, Action::Listen)
         }
         fn observe(&mut self, _: u64, _: Feedback, _: Feedback) {}
@@ -298,7 +297,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "dual-blaster"
         }
-        fn act(&mut self, _: u64, _: &mut dyn RngCore) -> (Action, Action) {
+        fn act(&mut self, _: u64, _: &mut SmallRng) -> (Action, Action) {
             (Action::Broadcast, Action::Broadcast)
         }
         fn observe(&mut self, _: u64, _: Feedback, _: Feedback) {}

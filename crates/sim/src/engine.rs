@@ -216,7 +216,7 @@ impl<F: ProtocolFactory, A: Adversary> Simulator<F, A> {
         broadcasters.clear();
         for (idx, node) in self.nodes.iter_mut().enumerate() {
             debug_assert!(node.arrival_slot <= slot);
-            let action = node.proto.act_fast(node.local_slot(slot), &mut node.rng);
+            let action = node.proto.act(node.local_slot(slot), &mut node.rng);
             if action == Action::Broadcast {
                 node.accesses += 1;
                 broadcasters.push(idx as u32);
@@ -433,7 +433,6 @@ mod tests {
     };
     use crate::node::{AlwaysBroadcast, NeverBroadcast, Protocol};
     use crate::slot::Feedback;
-    use rand::RngCore;
 
     fn always() -> impl ProtocolFactory {
         |_: NodeId| -> Box<dyn Protocol> { Box::new(AlwaysBroadcast) }
@@ -514,7 +513,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "recorder"
             }
-            fn act(&mut self, _: u64, _: &mut dyn RngCore) -> Action {
+            fn act(&mut self, _: u64, _: &mut SmallRng) -> Action {
                 Action::Listen
             }
             fn observe(&mut self, _: u64, fb: Feedback) {
@@ -548,7 +547,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "clock-check"
             }
-            fn act(&mut self, local: u64, _: &mut dyn RngCore) -> Action {
+            fn act(&mut self, local: u64, _: &mut SmallRng) -> Action {
                 assert_eq!(local, self.expected_next);
                 Action::Listen
             }
@@ -736,7 +735,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "recorder"
             }
-            fn act(&mut self, _: u64, _: &mut dyn RngCore) -> Action {
+            fn act(&mut self, _: u64, _: &mut SmallRng) -> Action {
                 Action::Listen
             }
             fn observe(&mut self, _: u64, fb: Feedback) {

@@ -22,30 +22,29 @@
 //! * each (node, lane) pair carries its own xoshiro256++ stream, seeded by
 //!   the same [`SeedSequence`] derivation the scalar engine uses, and
 //!   advanced only when that lane's node actually draws;
-//! * protocols participate through [`Protocol::act_lanes`], whose default
-//!   implementation loops over lanes calling [`Protocol::act`] — by the
-//!   [`Protocol::act_fast`] contract this produces the identical draw
-//!   sequence;
-//! * feedback-dependent divergence (restart-on-success, window protocols)
-//!   is confined to the affected lanes by masks: a success in lane `j`
-//!   restarts / notifies lane `j` only, and a drained lane freezes while
-//!   the others keep stepping.
+//! * each cell holds one [lane-capable](Protocol::lane_capable) protocol
+//!   instance, driven once per slot through [`Protocol::act_lanes`]; its
+//!   lane `l` replays the draws and decisions a scalar instance's
+//!   [`Protocol::act`] would make on lane `l`'s stream;
+//! * feedback-dependent divergence (restart-on-success) is confined to
+//!   the affected lanes by masks: a success in lane `j` restarts lane `j`
+//!   only, and a drained lane freezes while the others keep stepping.
 //!
 //! # Eligibility and fallback
 //!
-//! The lane engine engages under the same conditions as skip-ahead
-//! ([`lane_eligible`]): every protocol is *static until feedback*, the
-//! channel is the paper's no-collision-detection model, and the adversary
-//! is forecastable (non-[`Forecast::Adaptive`]). Ineligible workloads —
-//! adaptive adversaries, richer channels, the dynamic cjz protocols — run
-//! per-seed on the exact engine instead; requesting
+//! The lane engine engages under the conditions of skip-ahead plus one
+//! ([`lane_eligible`]): every protocol is *static until feedback* and
+//! lane-capable, the channel is the paper's no-collision-detection model,
+//! and the adversary is forecastable (non-[`Forecast::Adaptive`]).
+//! Ineligible workloads — adaptive adversaries, richer channels, the
+//! dynamic cjz protocols, the window protocols — run per-seed on the
+//! exact engine instead; requesting
 //! [`Execution::BitParallel`](crate::config::Execution) is always safe.
 //! The dispatch lives in `contention-bench`'s `ScenarioRunner::run_task`,
 //! which every replication front end shares and which hands seed blocks
 //! of [`LANES`] to this engine when eligible.
 
 use rand::rngs::SmallRng;
-use rand::RngCore;
 
 use crate::adversary::{Adversary, Forecast, SlotDecision};
 use crate::channel::ChannelModel;
@@ -54,7 +53,7 @@ use crate::history::PublicHistory;
 use crate::metrics::{DepartureRecord, SlotRecord, SurvivorRecord, Trace};
 use crate::node::{NodeId, Protocol, ProtocolFactory};
 use crate::rng::SeedSequence;
-use crate::slot::{Feedback, SlotOutcome};
+use crate::slot::SlotOutcome;
 
 /// Number of lanes (seeds) advanced per word. One bit of every mask.
 pub const LANES: usize = 64;
@@ -64,12 +63,11 @@ pub const LANES: usize = 64;
 /// [`SmallRng`]: lane `l` seeded from `u64` seed `s`
 /// yields exactly the stream of `SmallRng::seed_from_u64(s)`.
 ///
-/// The layout exists so that drawing one `u64` from *every* lane
-/// ([`draw_block`](Self::draw_block)) is a straight-line loop over four
-/// `[u64; 64]` arrays — the autovectorizable hot path of the lane engine.
-/// Single-lane draws ([`step_lane`](Self::step_lane), or the
-/// [`LaneRng`] adapter for `dyn RngCore` consumers) advance only that
-/// lane's column.
+/// The layout exists so that drawing one `u64` from *every* lane and
+/// resolving it against a shared threshold ([`draw_mask`](Self::draw_mask))
+/// is a straight-line loop over four `[u64; 64]` arrays — the
+/// autovectorizable hot path of the lane engine. Single-lane draws
+/// ([`step_lane`](Self::step_lane)) advance only that lane's column.
 #[derive(Debug, Clone)]
 pub struct LaneRngs {
     s0: [u64; LANES],
@@ -77,7 +75,7 @@ pub struct LaneRngs {
     s2: [u64; LANES],
     s3: [u64; LANES],
     /// Lanes whose streams may advance freely (their node departed, so the
-    /// stream will never be read again). [`draw_block`](Self::draw_block)
+    /// stream will never be read again). [`draw_mask`](Self::draw_mask)
     /// uses this to take the unmasked full-word path even when some lanes
     /// are dead. Set by the engine before each act pass.
     free: u64,
@@ -127,7 +125,7 @@ impl LaneRngs {
     }
 
     /// Mark the lanes whose streams are dead (departed nodes): they may be
-    /// advanced opportunistically by [`draw_block`](Self::draw_block) to
+    /// advanced opportunistically by [`draw_mask`](Self::draw_mask) to
     /// keep the full-word fast path. Never includes live or not-yet-born
     /// lanes — an unborn lane's stream must stay pristine until its node
     /// activates.
@@ -161,47 +159,18 @@ impl LaneRngs {
         result
     }
 
-    /// Draw one `u64` from every lane in `need`, writing `out[l]` for each
-    /// set bit. Lanes outside `need | free_lanes` do **not** advance.
-    ///
-    /// When `need | free_lanes` covers the whole word this is a single
-    /// unmasked pass over the four state arrays (the vectorizable fast
-    /// path); otherwise only the needed columns step, one at a time.
-    pub fn draw_block(&mut self, need: u64, out: &mut [u64; LANES]) {
-        if need | self.free == u64::MAX {
-            // Straight-line SoA loop: no per-lane branches, so the
-            // autovectorizer can process several lanes per instruction.
-            for (l, slot) in out.iter_mut().enumerate() {
-                let r = self.s0[l]
-                    .wrapping_add(self.s3[l])
-                    .rotate_left(23)
-                    .wrapping_add(self.s0[l]);
-                *slot = r;
-                let t = self.s1[l] << 17;
-                self.s2[l] ^= self.s0[l];
-                self.s3[l] ^= self.s1[l];
-                self.s1[l] ^= self.s2[l];
-                self.s0[l] ^= self.s3[l];
-                self.s2[l] ^= t;
-                self.s3[l] = self.s3[l].rotate_left(45);
-            }
-        } else {
-            let mut m = need;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                out[l] = self.step_lane(l);
-            }
-        }
-    }
-
     /// Draw one `u64` from every lane in `need` and resolve the draws
     /// against one shared Bernoulli threshold in the same pass, returning
     /// the mask of lanes whose draw clears it (`(r >> 11) < thr`, the
-    /// scalar convention). Draw-for-draw and bit-for-bit identical to
-    /// [`draw_block`](Self::draw_block) followed by the compare, but the
-    /// draws never leave registers — this is the hot path of the lane
-    /// engine's lockstep slot, where the whole word shares one threshold.
+    /// scalar convention). Lanes outside `need | free_lanes` do **not**
+    /// advance.
+    ///
+    /// When `need | free_lanes` covers the whole word this is a single
+    /// unmasked pass over the four state arrays whose draws never leave
+    /// registers (the vectorizable fast path); otherwise only the needed
+    /// columns step, one at a time, through [`step_lane`](Self::step_lane).
+    /// This is the hot path of the lane engine's lockstep slot, where the
+    /// whole word shares one threshold.
     pub fn draw_mask(&mut self, need: u64, thr: u64) -> u64 {
         if need | self.free == u64::MAX {
             let mut send = 0u64;
@@ -231,51 +200,11 @@ impl LaneRngs {
             send
         }
     }
-
-    /// A `dyn RngCore`-compatible view of lane `l`, for driving scalar
-    /// [`Protocol::act`] implementations one lane at a time. Draws advance
-    /// only that lane's column and match the scalar `SmallRng` word for
-    /// word (including `next_u32` truncation and little-endian
-    /// `fill_bytes` chunking).
-    #[inline]
-    pub fn lane(&mut self, l: usize) -> LaneRng<'_> {
-        LaneRng {
-            bank: self,
-            lane: l,
-        }
-    }
-}
-
-/// Single-lane `RngCore` adapter over a [`LaneRngs`] bank (see
-/// [`LaneRngs::lane`]).
-#[derive(Debug)]
-pub struct LaneRng<'a> {
-    bank: &'a mut LaneRngs,
-    lane: usize,
-}
-
-impl RngCore for LaneRng<'_> {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.bank.step_lane(self.lane) >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.bank.step_lane(self.lane)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.bank.step_lane(self.lane).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Whether a (config, factory, adversary) combination is eligible for the
-/// lane engine — the same gate the sparse engine applies, evaluated
-/// up-front:
+/// lane engine — the gate the sparse engine applies plus lane capability,
+/// evaluated up-front:
 ///
 /// * the requested execution is [`Execution::BitParallel`];
 /// * the channel is the paper's [`ChannelModel::NoCollisionDetection`]
@@ -283,7 +212,8 @@ impl RngCore for LaneRng<'_> {
 ///   the lane engine elides);
 /// * a probe protocol instance reports
 ///   [`Protocol::static_until_feedback`] (non-success feedback is a
-///   guaranteed no-op, success either ignored or a full restart);
+///   guaranteed no-op, success either ignored or a full restart) and
+///   [`Protocol::lane_capable`] (one instance drives a whole lane word);
 /// * the adversary's forecast from slot 1 is not
 ///   [`Forecast::Adaptive`].
 ///
@@ -295,25 +225,15 @@ where
     F: ProtocolFactory + ?Sized,
     A: Adversary + ?Sized,
 {
-    config.execution == Execution::BitParallel
-        && config.channel == ChannelModel::NoCollisionDetection
-        && factory.spawn(NodeId::new(u64::MAX)).static_until_feedback()
+    if config.execution != Execution::BitParallel
+        || config.channel != ChannelModel::NoCollisionDetection
+    {
+        return false;
+    }
+    let probe = factory.spawn(NodeId::new(u64::MAX));
+    probe.static_until_feedback()
+        && probe.lane_capable()
         && !matches!(adversary.forecast(1), Forecast::Adaptive)
-}
-
-/// How a cell drives its protocol(s): one shared instance with native
-/// lane masks, or one scalar instance per lane.
-enum CellKind {
-    /// The protocol opted in via [`Protocol::lane_capable`]: a single
-    /// instance holds per-lane state internally and is driven through
-    /// [`Protocol::act_lanes`] / [`Protocol::observe_success_lanes`] with
-    /// whole-word masks.
-    Shared(Box<dyn Protocol>),
-    /// Scalar fallback: one protocol instance per born lane, each driven
-    /// through the default [`Protocol::act_lanes`] path with a
-    /// single-bit mask (which calls [`Protocol::act`] — draw-for-draw
-    /// identical to the exact engine by the `act_fast` contract).
-    Split(Box<[Option<Box<dyn Protocol>>; LANES]>),
 }
 
 /// One node *identity* across all lanes: lane `j`'s bit tracks the node
@@ -322,7 +242,10 @@ enum CellKind {
 /// cell index equals the per-lane node id for every lane that births it.
 struct Cell {
     rngs: LaneRngs,
-    kind: CellKind,
+    /// One lane-capable instance holding this node's state in every lane,
+    /// driven through [`Protocol::act_lanes`] and
+    /// [`Protocol::observe_success_lanes`] with whole-word masks.
+    proto: Box<dyn Protocol>,
     /// Lanes that have activated this node (monotone: set at injection,
     /// never cleared).
     born: u64,
@@ -443,8 +366,6 @@ pub struct LaneSimulator<F, A> {
     live: Vec<u32>,
     /// Mask of lanes still stepping (a lane leaves on drain only).
     running: u64,
-    /// Whether the probe protocol opted into shared-instance lane driving.
-    shared: bool,
     current_slot: u64,
 }
 
@@ -459,7 +380,9 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
     ///
     /// # Panics
     ///
-    /// Panics when the lengths differ, are zero, or exceed [`LANES`].
+    /// Panics when the lengths differ, are zero, or exceed [`LANES`], and
+    /// when `factory`'s protocol is not [lane-capable](Protocol::lane_capable)
+    /// (check [`lane_eligible`] first).
     pub fn new(config: SimConfig, lane_seeds: &[u64], factory: F, adversaries: Vec<A>) -> Self {
         assert_eq!(
             lane_seeds.len(),
@@ -470,7 +393,12 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
             !lane_seeds.is_empty() && lane_seeds.len() <= LANES,
             "lane count must be in 1..={LANES}"
         );
-        let shared = factory.spawn(NodeId::new(u64::MAX)).lane_capable();
+        let probe = factory.spawn(NodeId::new(u64::MAX));
+        assert!(
+            probe.lane_capable(),
+            "{}: the lane engine needs a lane-capable protocol",
+            probe.name()
+        );
         let lanes: Vec<LaneState<A>> = lane_seeds
             .iter()
             .zip(adversaries)
@@ -507,7 +435,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
             cells: Vec::new(),
             live: Vec::new(),
             running,
-            shared,
             current_slot: 0,
         }
     }
@@ -566,14 +493,9 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
             for (l, lane) in self.lanes.iter().enumerate() {
                 seeds[l] = lane.seeds.node_seed(id);
             }
-            let kind = if self.shared {
-                CellKind::Shared(self.factory.spawn(NodeId::new(id)))
-            } else {
-                CellKind::Split(Box::new([const { None }; LANES]))
-            };
             self.cells.push(Cell {
                 rngs: LaneRngs::from_seeds(&seeds),
-                kind,
+                proto: self.factory.spawn(NodeId::new(id)),
                 born: 0,
                 alive: 0,
                 in_live: false,
@@ -588,9 +510,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
         cell.alive |= bit;
         cell.arrival[j] = slot;
         cell.accesses[j] = 0;
-        if let CellKind::Split(instances) = &mut cell.kind {
-            instances[j] = Some(self.factory.spawn_with_arrival(NodeId::new(id), slot));
-        }
         if !cell.in_live {
             cell.in_live = true;
             self.live.push(idx as u32);
@@ -641,23 +560,7 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
             i += 1;
             debug_assert_eq!(active & !running, 0, "frozen lanes hold no nodes");
             cell.rngs.set_free_lanes(cell.born & !cell.alive);
-            let send = match &mut cell.kind {
-                CellKind::Shared(proto) => proto.act_lanes(0, &mut cell.rngs, active),
-                CellKind::Split(instances) => {
-                    let mut send = 0u64;
-                    let mut lanes = active;
-                    while lanes != 0 {
-                        let l = lanes.trailing_zeros() as usize;
-                        lanes &= lanes - 1;
-                        let local = slot - cell.arrival[l];
-                        let proto = instances[l]
-                            .as_mut()
-                            .expect("alive lane has a protocol instance");
-                        send |= proto.act_lanes(local, &mut cell.rngs, 1 << l);
-                    }
-                    send
-                }
-            };
+            let send = cell.proto.act_lanes(&mut cell.rngs, active);
             debug_assert_eq!(send & !active, 0, "sends only from active lanes");
             let mut sends = send;
             while sends != 0 {
@@ -671,7 +574,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
 
         // Phase 3: per-lane resolution, departures, history, records.
         let mut success_lanes = 0u64;
-        let mut feedbacks = [Feedback::NoSuccess; LANES];
         let mut m = running;
         while m != 0 {
             let j = m.trailing_zeros() as usize;
@@ -689,7 +591,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
                 }
             };
             let feedback = self.config.channel.feedback(outcome);
-            feedbacks[j] = feedback;
             if feedback.is_success() {
                 success_lanes |= 1 << j;
             }
@@ -700,9 +601,6 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
                 let wc = winner[j];
                 let cell = &mut self.cells[wc as usize];
                 cell.alive &= !(1 << j);
-                if let CellKind::Split(instances) = &mut cell.kind {
-                    instances[j] = None;
-                }
                 let lane = &mut self.lanes[j];
                 let pos = lane
                     .order
@@ -746,21 +644,7 @@ impl<F: ProtocolFactory, A: Adversary> LaneSimulator<F, A> {
                 if heard == 0 {
                     continue;
                 }
-                match &mut cell.kind {
-                    CellKind::Shared(proto) => proto.observe_success_lanes(heard),
-                    CellKind::Split(instances) => {
-                        let mut lanes = heard;
-                        while lanes != 0 {
-                            let l = lanes.trailing_zeros() as usize;
-                            lanes &= lanes - 1;
-                            let local = slot - cell.arrival[l];
-                            instances[l]
-                                .as_mut()
-                                .expect("alive lane has a protocol instance")
-                                .observe(local, feedbacks[l]);
-                        }
-                    }
-                }
+                cell.proto.observe_success_lanes(heard);
             }
         }
 
@@ -854,7 +738,25 @@ mod tests {
     };
     use crate::engine::Simulator;
     use crate::node::{AlwaysBroadcast, NeverBroadcast};
-    use rand::{Rng, SeedableRng};
+    use crate::slot::{Action, Feedback};
+    use rand::{RngCore, SeedableRng};
+
+    /// Static until feedback but not lane-capable: the shape of the
+    /// window protocols, which the lane engine refuses.
+    struct StaticScalar;
+
+    impl Protocol for StaticScalar {
+        fn name(&self) -> &'static str {
+            "static-scalar"
+        }
+        fn act(&mut self, _: u64, _: &mut SmallRng) -> Action {
+            Action::Broadcast
+        }
+        fn observe(&mut self, _: u64, _: Feedback) {}
+        fn static_until_feedback(&self) -> bool {
+            true
+        }
+    }
 
     #[test]
     fn lane_rngs_replay_smallrng_streams() {
@@ -878,41 +780,38 @@ mod tests {
     #[test]
     fn lane_rngs_zero_seed_matches_smallrng() {
         // seed_from_u64(0) does not hit the all-zero nudge (SplitMix64 of
-        // 0 is non-zero), but pin equality anyway, plus the adapter paths.
+        // 0 is non-zero), but pin equality anyway.
         let mut seeds = [0u64; LANES];
         seeds[1] = 99;
         let mut bank = LaneRngs::from_seeds(&seeds);
         let mut scalar = SmallRng::seed_from_u64(0);
-        let mut lane = bank.lane(0);
-        assert_eq!(lane.next_u64(), scalar.next_u64());
-        assert_eq!(lane.next_u32(), scalar.next_u32());
-        let mut a = [0u8; 13];
-        let mut b = [0u8; 13];
-        lane.fill_bytes(&mut a);
-        scalar.fill_bytes(&mut b);
-        assert_eq!(a, b);
-        let x: f64 = Rng::gen(&mut lane);
-        let y: f64 = Rng::gen(&mut scalar);
-        assert_eq!(x.to_bits(), y.to_bits());
+        for i in 0..8 {
+            assert_eq!(bank.step_lane(0), scalar.next_u64(), "draw {i}");
+        }
     }
 
     #[test]
-    fn draw_block_fast_path_matches_masked_path() {
+    fn draw_mask_fast_path_matches_masked_path() {
         let seeds: [u64; LANES] = std::array::from_fn(|i| 1000 + i as u64);
         let mut fast = LaneRngs::from_seeds(&seeds);
         let mut slow = LaneRngs::from_seeds(&seeds);
-        // fast: lanes 0..32 needed, 32..64 declared free (full word).
-        fast.set_free_lanes(!0u64 << 32);
-        let mut out_fast = [0u64; LANES];
-        fast.draw_block((1u64 << 32) - 1, &mut out_fast);
+        let mut scalars: Vec<SmallRng> =
+            seeds.iter().map(|&s| SmallRng::seed_from_u64(s)).collect();
+        // fast: lanes 0..32 needed, 32..64 declared free (full word);
         // slow: same need, no free lanes (masked path).
-        let mut out_slow = [0u64; LANES];
-        slow.draw_block((1u64 << 32) - 1, &mut out_slow);
-        for l in 0..32 {
-            assert_eq!(out_fast[l], out_slow[l], "lane {l}");
+        let need = (1u64 << 32) - 1;
+        fast.set_free_lanes(!need);
+        let thr = 1u64 << 52; // p = 1/2
+        for round in 0..20 {
+            let sent = fast.draw_mask(need, thr);
+            assert_eq!(sent, slow.draw_mask(need, thr), "round {round}");
+            assert_eq!(sent & !need, 0, "round {round}: unneeded lane sent");
+            for (l, scalar) in scalars.iter_mut().enumerate().take(32) {
+                let want = (scalar.next_u64() >> 11) < thr;
+                assert_eq!(sent >> l & 1 == 1, want, "round {round} lane {l}");
+            }
         }
-        // The needed lanes advanced identically; the slow bank's unneeded
-        // lanes must be pristine.
+        // The slow bank's unneeded lanes must be pristine.
         let mut reference = LaneRngs::from_seeds(&seeds);
         for l in 32..LANES {
             assert_eq!(
@@ -943,13 +842,28 @@ mod tests {
             fn name(&self) -> &'static str {
                 "dynamic"
             }
-            fn act(&mut self, _: u64, _: &mut dyn RngCore) -> crate::slot::Action {
-                crate::slot::Action::Listen
+            fn act(&mut self, _: u64, _: &mut SmallRng) -> Action {
+                Action::Listen
             }
             fn observe(&mut self, _: u64, _: Feedback) {}
         }
         let dynamic = |_: NodeId| -> Box<dyn Protocol> { Box::new(Dynamic) };
         assert!(!lane_eligible(&eligible, &dynamic, &adv));
+        // Static until feedback, but not lane-capable.
+        let scalar = |_: NodeId| -> Box<dyn Protocol> { Box::new(StaticScalar) };
+        assert!(!lane_eligible(&eligible, &scalar, &adv));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane-capable")]
+    fn lane_simulator_refuses_protocols_that_are_not_lane_capable() {
+        let factory = |_: NodeId| -> Box<dyn Protocol> { Box::new(StaticScalar) };
+        let _ = LaneSimulator::new(
+            SimConfig::with_seed(0).with_execution(Execution::BitParallel),
+            &[1, 2],
+            factory,
+            vec![NullAdversary, NullAdversary],
+        );
     }
 
     /// Compare every observable of a lane run against per-seed scalar
@@ -998,37 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn split_path_matches_scalar_always_broadcast() {
-        // Two colliders never drain; a lone broadcaster drains at once.
-        // Exercises the Split fallback path (plain closures are not
-        // lane-capable as factories still spawn lane-capable protocol
-        // instances — force Split by probing a non-capable wrapper).
-        struct Plain(AlwaysBroadcast);
-        impl Protocol for Plain {
-            fn name(&self) -> &'static str {
-                "plain-always"
-            }
-            fn act(&mut self, s: u64, rng: &mut dyn RngCore) -> crate::slot::Action {
-                self.0.act(s, rng)
-            }
-            fn observe(&mut self, s: u64, fb: Feedback) {
-                self.0.observe(s, fb);
-            }
-            fn static_until_feedback(&self) -> bool {
-                true
-            }
-        }
-        let seeds: Vec<u64> = (100..108).collect();
-        assert_matches_scalar(
-            &seeds,
-            || |_: NodeId| -> Box<dyn Protocol> { Box::new(Plain(AlwaysBroadcast)) },
-            || CompositeAdversary::new(BatchArrival::at_start(1), FrontLoadedJamming::new(7)),
-            1_000,
-        );
-    }
-
-    #[test]
-    fn shared_path_matches_scalar_trivial_protocols() {
+    fn lane_runs_match_scalar_trivial_protocols() {
         let seeds: Vec<u64> = (0..5).map(|i| 7 * i + 1).collect();
         assert_matches_scalar(
             &seeds,

@@ -31,7 +31,7 @@
 //! struct Half;
 //! impl Protocol for Half {
 //!     fn name(&self) -> &'static str { "half" }
-//!     fn act(&mut self, _slot: u64, rng: &mut dyn rand::RngCore) -> Action {
+//!     fn act(&mut self, _slot: u64, rng: &mut rand::rngs::SmallRng) -> Action {
 //!         if rand::Rng::gen_bool(rng, 0.5) { Action::Broadcast } else { Action::Listen }
 //!     }
 //!     fn observe(&mut self, _slot: u64, _fb: Feedback) {}
@@ -70,7 +70,7 @@ pub use checkpoint::{Snapshot, SnapshotError};
 pub use config::{Execution, SimConfig};
 pub use engine::{Simulator, StopReason};
 pub use history::PublicHistory;
-pub use lanes::{lane_eligible, LaneRng, LaneRngs, LaneSimulator, LANES};
+pub use lanes::{lane_eligible, LaneRngs, LaneSimulator, LANES};
 pub use metrics::{CumulativeTrace, DepartureRecord, SlotRecord, SurvivorRecord, Trace};
 pub use node::{NamedFactory, NodeId, Protocol, ProtocolFactory};
 pub use observer::StreamingStats;

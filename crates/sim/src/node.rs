@@ -4,8 +4,8 @@
 use std::fmt;
 
 use rand::rngs::SmallRng;
-use rand::RngCore;
 
+use crate::lanes::LaneRngs;
 use crate::slot::{Action, Feedback};
 
 /// Identifier of a node (player). Assigned by the engine in injection order.
@@ -67,10 +67,10 @@ pub trait Protocol {
     /// Decide the action for local slot `local_slot` (0-based: the arrival
     /// slot is `0`).
     ///
-    /// `rng` is a per-node deterministic RNG; implementations must draw all
-    /// randomness from it so that simulations replay exactly under a fixed
-    /// seed.
-    fn act(&mut self, local_slot: u64, rng: &mut dyn RngCore) -> Action;
+    /// `rng` is the node's private RNG stream; implementations must draw
+    /// all randomness from it so that simulations replay exactly under a
+    /// fixed seed.
+    fn act(&mut self, local_slot: u64, rng: &mut SmallRng) -> Action;
 
     /// Receive the public feedback for local slot `local_slot`.
     ///
@@ -79,17 +79,6 @@ pub trait Protocol {
     /// implementation opts out of failure feedback via
     /// [`observes_failures`](Self::observes_failures).
     fn observe(&mut self, local_slot: u64, feedback: Feedback);
-
-    /// Hot-path variant of [`act`](Self::act) taking the engine's concrete
-    /// per-node RNG, so implementations can monomorphize their random draws
-    /// instead of going through `dyn RngCore`.
-    ///
-    /// The default delegates to [`act`](Self::act); overriding is purely a
-    /// performance optimisation and **must not** change the sequence of RNG
-    /// draws (simulations replay byte-identically either way).
-    fn act_fast(&mut self, local_slot: u64, rng: &mut SmallRng) -> Action {
-        self.act(local_slot, rng)
-    }
 
     /// Whether this protocol reacts to no-success feedback.
     ///
@@ -110,7 +99,7 @@ pub trait Protocol {
     ///
     /// Used by the sparse execution engine's diagnostics and by the
     /// static-phase property tests (`current_prob` must match the
-    /// empirical broadcast frequency of [`act_fast`](Self::act_fast)).
+    /// empirical broadcast frequency of [`act`](Self::act)).
     fn current_prob(&self) -> Option<f64> {
         None
     }
@@ -156,21 +145,22 @@ pub trait Protocol {
     /// Returning `true` is a contract with the lane engine
     /// ([`crate::lanes::LaneSimulator`]):
     ///
-    /// * [`act`](Self::act)/[`act_fast`](Self::act_fast) must ignore
-    ///   `local_slot` (lane-capable protocols track their own position;
-    ///   the engine passes `0` in lane mode);
+    /// * [`act`](Self::act) must not depend on `local_slot`
+    ///   ([`act_lanes`](Self::act_lanes) gets no clock, so the protocol
+    ///   tracks each lane's position itself);
     /// * [`act_lanes`](Self::act_lanes) must be overridden with a
-    ///   genuinely per-lane implementation whose lane `l` draws and
-    ///   decisions exactly replay what a dedicated scalar instance would
-    ///   produce for that lane's stream;
+    ///   per-lane implementation whose lane `l` draws and decisions
+    ///   exactly replay what a dedicated scalar instance would produce
+    ///   for that lane's stream;
     /// * if success feedback affects state
     ///   ([`restarts_on_success`](Self::restarts_on_success)),
     ///   [`observe_success_lanes`](Self::observe_success_lanes) must be
     ///   overridden to apply it per lane.
     ///
     /// Must be constant for the protocol's lifetime. Default `false`: the
-    /// engine then runs one scalar instance per lane through the default
-    /// [`act_lanes`](Self::act_lanes), which is always correct.
+    /// lane engine refuses the protocol
+    /// ([`lane_eligible`](crate::lanes::lane_eligible) is `false`), and
+    /// replication runs it one seed at a time on the exact engine.
     fn lane_capable(&self) -> bool {
         false
     }
@@ -182,27 +172,15 @@ pub trait Protocol {
     /// via the bank's declared free lanes) and must not have state
     /// mutated.
     ///
-    /// The default loops over the active lanes calling
-    /// [`act`](Self::act) with that lane's RNG column — draw-for-draw
-    /// identical to a scalar run by the [`act_fast`](Self::act_fast)
-    /// contract. Lane-capable protocols override this with a word-level
-    /// implementation (one threshold compare per lane word).
-    fn act_lanes(
-        &mut self,
-        local_slot: u64,
-        rngs: &mut crate::lanes::LaneRngs,
-        active: u64,
-    ) -> u64 {
-        let mut send = 0u64;
-        let mut m = active;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.act(local_slot, &mut rngs.lane(l)).is_broadcast() {
-                send |= 1 << l;
-            }
-        }
-        send
+    /// Only called on [lane-capable](Self::lane_capable) protocols, which
+    /// override it with a word-level implementation (one threshold
+    /// compare per lane word). The default panics.
+    fn act_lanes(&mut self, rngs: &mut LaneRngs, active: u64) -> u64 {
+        let _ = (rngs, active);
+        panic!(
+            "{}: act_lanes on a protocol that is not lane-capable",
+            self.name()
+        )
     }
 
     /// Lane-mask variant of [`observe`](Self::observe) for success
@@ -348,7 +326,7 @@ impl Protocol for AlwaysBroadcast {
         "always-broadcast"
     }
 
-    fn act(&mut self, _local_slot: u64, _rng: &mut dyn RngCore) -> Action {
+    fn act(&mut self, _local_slot: u64, _rng: &mut SmallRng) -> Action {
         Action::Broadcast
     }
 
@@ -378,12 +356,7 @@ impl Protocol for AlwaysBroadcast {
         true
     }
 
-    fn act_lanes(
-        &mut self,
-        _local_slot: u64,
-        _rngs: &mut crate::lanes::LaneRngs,
-        active: u64,
-    ) -> u64 {
+    fn act_lanes(&mut self, _rngs: &mut LaneRngs, active: u64) -> u64 {
         active
     }
 
@@ -402,7 +375,7 @@ impl Protocol for NeverBroadcast {
         "never-broadcast"
     }
 
-    fn act(&mut self, _local_slot: u64, _rng: &mut dyn RngCore) -> Action {
+    fn act(&mut self, _local_slot: u64, _rng: &mut SmallRng) -> Action {
         Action::Listen
     }
 
@@ -428,12 +401,7 @@ impl Protocol for NeverBroadcast {
         true
     }
 
-    fn act_lanes(
-        &mut self,
-        _local_slot: u64,
-        _rngs: &mut crate::lanes::LaneRngs,
-        _active: u64,
-    ) -> u64 {
+    fn act_lanes(&mut self, _rngs: &mut LaneRngs, _active: u64) -> u64 {
         0
     }
 
@@ -445,7 +413,6 @@ impl Protocol for NeverBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

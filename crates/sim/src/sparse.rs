@@ -4,7 +4,7 @@
 //! In the paper's central regimes — polynomial backoff schedules, the
 //! Θ(t/log t) lower-bound workloads, long jamming walls — almost every
 //! slot is silent: each node broadcasts with probability `p ≪ 1`, so the
-//! exact engine burns one `act_fast` call per node per slot mostly to
+//! exact engine burns one `act` call per node per slot mostly to
 //! conclude "nobody spoke". The sparse engine inverts the loop:
 //!
 //! * every node whose protocol is in a *static phase*

@@ -8,16 +8,17 @@
 //! produces for the same seed, one at a time. This suite pins that over
 //! 512 seeds spanning the workload classes the engine claims:
 //!
-//! * lockstep batches (shared-protocol fast path),
+//! * lockstep batches (one shared threshold per lane word),
 //! * jamming walls and periodic jams (forecast-driven decide caching),
-//! * window protocols (split path: per-lane protocol instances),
+//! * a power-law schedule under periodic jams (computed, non-interned
+//!   thresholds),
 //! * restart-on-success schedules (feedback-dependent lane divergence);
 //!
 //! plus the fallback envelope: adaptive adversaries, non-default
-//! channel models, and the paper's dynamic protocol must decline the
-//! lane engine and replay the exact engine trace-for-trace, and
-//! `seed_base` must offset 64-wide lane blocks exactly like scalar
-//! replication.
+//! channel models, the paper's dynamic protocol, and the window
+//! protocols (not lane-capable) must decline the lane engine and replay
+//! the exact engine trace-for-trace, and `seed_base` must offset
+//! 64-wide lane blocks exactly like scalar replication.
 
 use contention::bench::campaign::{Axis, CampaignRunner, SweepSpec};
 use contention::prelude::*;
@@ -110,9 +111,10 @@ fn run_mode(spec: &ScenarioSpec, execution: Execution) -> Vec<(u64, Observables)
     ScenarioRunner::new(spec).collect(&algo, |seed, o| (seed, observables(&o)))
 }
 
-/// The four equivalence families: batch, jamming, window, and
-/// restart-on-success workloads. Each must be lane-eligible (asserted,
-/// so a gate change can never make this suite pass vacuously).
+/// The four equivalence families: batch, jamming, power-law schedule,
+/// and restart-on-success workloads. Each must be lane-eligible
+/// (asserted, so a gate change can never make this suite pass
+/// vacuously).
 fn families() -> Vec<(&'static str, ScenarioSpec)> {
     vec![
         (
@@ -131,9 +133,9 @@ fn families() -> Vec<(&'static str, ScenarioSpec)> {
                 .fixed_horizon(2_048),
         ),
         (
-            "window (split path: per-lane window protocols)",
-            ScenarioSpec::new("lane-eq/window")
-                .algo(AlgoSpec::Baseline(BaselineSpec::BinaryExponential))
+            "power-law schedule (non-interned thresholds under periodic jams)",
+            ScenarioSpec::new("lane-eq/poly")
+                .algo(AlgoSpec::Baseline(BaselineSpec::PolySchedule(1.5)))
                 .arrivals(ArrivalSpec::batch(12))
                 .jamming(JammingSpec::Periodic {
                     period: 7,
@@ -255,8 +257,9 @@ fn campaign_lane_blocks_match_exact_cells() {
 }
 
 /// Workloads outside the lane envelope — adaptive adversaries,
-/// non-default channels, the paper's dynamic protocol — must fall back
-/// to the exact engine under `Execution::BitParallel`:
+/// non-default channels, the paper's dynamic protocol, the window
+/// protocols — must fall back to the exact engine under
+/// `Execution::BitParallel`:
 /// fingerprint-identical outcomes and a scalar block size.
 #[test]
 fn ineligible_workloads_fall_back_to_exact() {
@@ -288,6 +291,17 @@ fn ineligible_workloads_fall_back_to_exact() {
         (
             "cjz (dynamic phase-structured protocol)",
             ScenarioSpec::batch(8, 0.0).fixed_horizon(500),
+        ),
+        (
+            "window protocol (static, not lane-capable)",
+            ScenarioSpec::new("lane-fb/window")
+                .algo(AlgoSpec::Baseline(BaselineSpec::BinaryExponential))
+                .arrivals(ArrivalSpec::batch(12))
+                .jamming(JammingSpec::Periodic {
+                    period: 7,
+                    phase: 3,
+                })
+                .fixed_horizon(2_048),
         ),
     ];
     for (label, spec) in ineligible {

@@ -237,7 +237,7 @@ proptest! {
         let algo = match which {
             0 => AlgoSpec::Baseline(BaselineSpec::SmoothedBeb),
             1 => AlgoSpec::Baseline(BaselineSpec::ResetBeb),
-            _ => AlgoSpec::Baseline(BaselineSpec::BinaryExponential),
+            _ => AlgoSpec::Baseline(BaselineSpec::PolySchedule(1.5)),
         };
         let mut spec = ScenarioSpec::new("lane-prop")
             .algo(algo.clone())

@@ -305,7 +305,7 @@ fn non_default_channel_and_dynamic_protocols_fall_back() {
 }
 
 /// Satellite: `current_prob()` must match the empirical broadcast
-/// frequency of `act_fast` for every static-phase registry protocol.
+/// frequency of `act` for every static-phase registry protocol.
 /// 256 instances × 300 slots per protocol; the per-slot probabilities
 /// are accumulated *before* acting, so divergent per-instance states
 /// (window positions, schedule indices) are handled by the martingale
@@ -349,7 +349,7 @@ fn current_prob_matches_empirical_act_frequency() {
                 assert!((0.0..=1.0).contains(&p), "{}: p={p}", baseline.name());
                 expected += p;
                 variance += p * (1.0 - p);
-                sends += u64::from(proto.act_fast(slot, &mut rng).is_broadcast());
+                sends += u64::from(proto.act(slot, &mut rng).is_broadcast());
             }
         }
         let band = 6.0 * variance.sqrt() + 1.0;
